@@ -247,7 +247,8 @@ def evaluate(corpus: LabeledCorpus, weights: TanWeights, lexicon: Lexicon,
     """Alignment, clustering, and token-entropy metrics on one corpus slice."""
     streams, frame_actons = tokenize_threaded(corpus, weights, lexicon, threads)
     rows = entropy_table(streams, config.metrics.n_max)
-    _, f2 = ngram_entropy(streams, 2)
+    # F_2 is undefined below two tokens; the report then writes it as null
+    f2 = ngram_entropy(streams, 2)[1] if sum(len(s.segments) for s in streams) > 1 else None
     tau = alignment_tau(corpus, config.augment, config.metrics.tau_pairs,
                         config.seed, tan_embed_fn(weights),
                         crop_len=config.tan.sequence_length)
@@ -313,14 +314,19 @@ def cmd_build_lexicon(config: PipelineConfig, corpus_dir: Path, ckpt: Path,
     corpus = load_corpus(corpus_dir)
     train_split, _ = split_corpus(corpus, config.metrics.eval_fraction)
     weights = load_checkpoint(ckpt)
-    window = config.lexicon.context_window or config.tan.sequence_length
-    lex = build_lexicon(train_split, weights, config.lexicon.k, seed=config.seed,
-                        space=config.lexicon.feature_space,
-                        checkpoint_digest=checkpoint_digest(ckpt),
-                        max_iters=config.lexicon.max_iters, tol=config.lexicon.tol,
-                        window=window)
+    lex = _build_lexicon(config, train_split, weights, config.lexicon.k,
+                         checkpoint_digest(ckpt))
     save_lexicon(lex, out_lex)
     return out_lex
+
+
+def _build_lexicon(config: PipelineConfig, split: LabeledCorpus, weights: TanWeights,
+                   k: int, digest: str) -> Lexicon:
+    """build_lexicon with every lexicon setting; sweep rows match build-lexicon."""
+    opts = config.lexicon
+    return build_lexicon(split, weights, k, seed=config.seed, space=opts.feature_space,
+                         checkpoint_digest=digest, max_iters=opts.max_iters, tol=opts.tol,
+                         window=opts.context_window or config.tan.sequence_length)
 
 
 def _load_guarded(ckpt: Path, lex_path: Path) -> tuple[TanWeights, Lexicon]:
@@ -425,11 +431,7 @@ def cmd_sweep_k(config: PipelineConfig, corpus_dir: Path, ckpt: Path,
     digest = checkpoint_digest(ckpt)
     rows = []
     for k in config.metrics.sweep_k:
-        lex = build_lexicon(train_split, weights, k, seed=config.seed,
-                            space=config.lexicon.feature_space,
-                            checkpoint_digest=digest,
-                            window=config.lexicon.context_window
-                            or config.tan.sequence_length)
+        lex = _build_lexicon(config, train_split, weights, k, digest)
         streams, frame_actons = tokenize_threaded(eval_split, weights, lex,
                                                   config.threads)
         _, f2 = ngram_entropy(streams, 2)

@@ -1,4 +1,4 @@
-"""Skeleton sequence containers, skelseq file I/O, and a synthetic labeled corpus generator.
+"""Skeleton sequences, the skelseq/checkpoint/lexicon container codec, and a synthetic corpus.
 
 All sequences are stored as T x J x 3 world-coordinate joint positions in
 meters, gravity along +z. Arrays are float64 internally and frozen after
@@ -8,6 +8,7 @@ float32.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,15 +20,15 @@ FORMAT_VERSION = 1
 
 
 class SequenceFormatError(ValueError):
-    """A skelseq file could not be parsed."""
+    """A skelseq, checkpoint or lexicon file could not be parsed."""
 
 
 class HeaderError(SequenceFormatError):
-    """Missing, malformed, or inconsistent skelseq header."""
+    """Missing, malformed, mis-versioned or inconsistent header."""
 
 
 class PayloadSizeError(SequenceFormatError):
-    """Payload length disagrees with the declared (frames, joints)."""
+    """Payload length disagrees with the array shapes the header declares."""
 
 
 class NonFiniteError(SequenceFormatError):
@@ -92,6 +93,65 @@ class LabeledCorpus:
         self.frame_labels = coerced
 
 
+def encode_container(header: dict, arrays, dtype: str) -> list:
+    """File chunks to write or hash in turn: a JSON header line, then each array as `dtype`."""
+    return [json.dumps(header).encode("utf-8") + b"\n",
+            *(np.ascontiguousarray(a, dtype=dtype) for a in arrays)]
+
+
+def write_container(path: Path, chunks: list) -> Path:
+    with open(path, "wb") as fh:
+        fh.writelines(chunks)
+    return path
+
+
+def read_container(path: str | Path, fmt: str | None, dtype: str, shapes,
+                   ) -> tuple[dict, list[np.ndarray]]:
+    """Read a container file, checking its header (format fmt, None: no such
+    field), the format's own fields through shapes(header, path) -> declared
+    array shapes, the exact payload size and finite values. Arrays are float64."""
+    path = Path(path)
+    raw = path.read_bytes()
+    nl = raw.find(b"\n")
+    if nl < 0:
+        raise HeaderError(f"{path.name}: missing header line")
+    header = _parse_header(raw[:nl], fmt, path)
+    dims = shapes(header, path)
+    if not all(type(d) is int and d >= 1 for s in dims for d in s):
+        raise HeaderError(f"{path.name}: header declares bad array shapes {dims}")
+    counts = [math.prod(s) for s in dims]
+    size, expected = len(raw) - nl - 1, sum(counts) * np.dtype(dtype).itemsize
+    if size != expected:
+        raise PayloadSizeError(f"{path.name}: {size} payload bytes, header declares {expected}")
+    flat = np.frombuffer(raw, dtype=dtype, offset=nl + 1).astype(np.float64, copy=False)
+    if not np.isfinite(flat).all():
+        raise NonFiniteError(f"{path.name}: payload contains non-finite values")
+    parts = np.split(flat, np.cumsum(counts)[:-1])
+    return header, [part.reshape(s) for part, s in zip(parts, dims)]
+
+
+def _parse_header(text: bytes, fmt: str | None, path: Path) -> dict:
+    try:
+        header = json.loads(text.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise HeaderError(f"{path.name}: invalid header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise HeaderError(f"{path.name}: header is not a JSON object")
+    if header.get("format") != fmt:
+        raise HeaderError(f"{path.name}: format {header.get('format')!r}, expected {fmt!r}")
+    if header.get("version") != FORMAT_VERSION:
+        raise HeaderError(f"{path.name}: unsupported version {header.get('version')}")
+    return header
+
+
+def _sequence_shapes(header: dict, path: Path) -> list[tuple[int, ...]]:
+    """skelseq header rule: a positive fps and one (frames, joints, 3) array."""
+    fps = header.get("fps")
+    if not (isinstance(fps, (int, float)) and fps > 0):
+        raise HeaderError(f"{path.name}: bad fps {fps}")
+    return [(header.get("frames"), header.get("joints"), 3)]
+
+
 def save_sequence(seq: SkeletonSequence, path: str | Path) -> Path:
     """Write a sequence in skelseq v1 (binary or text variant, by extension)."""
     path = Path(path)
@@ -102,14 +162,10 @@ def save_sequence(seq: SkeletonSequence, path: str | Path) -> Path:
         "frames": seq.frames,
     }
     if path.name.endswith(TEXT_EXT):
-        payload = dict(header)
-        payload["data"] = np.asarray(seq.data, dtype=np.float32).tolist()
-        path.write_text(json.dumps(payload))
+        data = np.asarray(seq.data, dtype=np.float32).tolist()
+        path.write_text(json.dumps({**header, "data": data}))
     elif path.name.endswith(BINARY_EXT):
-        blob = np.asarray(seq.data, dtype="<f4").tobytes()
-        with open(path, "wb") as fh:
-            fh.write(json.dumps(header).encode("utf-8") + b"\n")
-            fh.write(blob)
+        write_container(path, encode_container(header, [seq.data], "<f4"))
     else:
         raise ValueError(f"unknown sequence extension: {path.name}")
     return path
@@ -119,54 +175,16 @@ def load_sequence(path: str | Path) -> SkeletonSequence:
     """Read a skelseq v1 file (binary or text variant, by extension)."""
     path = Path(path)
     if path.name.endswith(TEXT_EXT):
-        try:
-            obj = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise HeaderError(f"{path.name}: invalid JSON: {exc}") from exc
-        header = {k: obj.get(k) for k in ("version", "fps", "joints", "frames")}
-        _check_header(header, path)
-        data = np.asarray(obj.get("data"), dtype=np.float64)
-        if data.shape != (header["frames"], header["joints"], 3):
-            raise PayloadSizeError(
-                f"{path.name}: data shape {data.shape} does not match header "
-                f"({header['frames']}, {header['joints']}, 3)"
-            )
+        header = _parse_header(path.read_bytes(), None, path)
+        (shape,) = _sequence_shapes(header, path)
+        data = np.asarray(header.get("data"), dtype=np.float64)
+        if data.shape != shape:
+            raise PayloadSizeError(f"{path.name}: data shape {data.shape}, header {shape}")
     elif path.name.endswith(BINARY_EXT):
-        raw = path.read_bytes()
-        nl = raw.find(b"\n")
-        if nl < 0:
-            raise HeaderError(f"{path.name}: missing header line")
-        try:
-            header = json.loads(raw[:nl].decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise HeaderError(f"{path.name}: invalid header: {exc}") from exc
-        _check_header(header, path)
-        expected = header["frames"] * header["joints"] * 3
-        flat = np.frombuffer(raw[nl + 1 :], dtype="<f4")
-        if flat.size != expected:
-            raise PayloadSizeError(
-                f"{path.name}: payload holds {flat.size} floats, header declares {expected}"
-            )
-        data = flat.astype(np.float64).reshape(header["frames"], header["joints"], 3)
+        header, (data,) = read_container(path, None, "<f4", _sequence_shapes)
     else:
         raise ValueError(f"unknown sequence extension: {path.name}")
-    if not np.isfinite(data).all():
-        raise NonFiniteError(f"{path.name}: payload contains non-finite values")
     return SkeletonSequence(data=data, fps=float(header["fps"]))
-
-
-def _check_header(header: dict, path: Path) -> None:
-    for key in ("version", "fps", "joints", "frames"):
-        if header.get(key) is None:
-            raise HeaderError(f"{path.name}: header missing key '{key}'")
-    if header["version"] != FORMAT_VERSION:
-        raise HeaderError(f"{path.name}: unsupported version {header['version']}")
-    if not (isinstance(header["joints"], int) and header["joints"] >= 1):
-        raise HeaderError(f"{path.name}: bad joint count {header['joints']}")
-    if not (isinstance(header["frames"], int) and header["frames"] >= 1):
-        raise HeaderError(f"{path.name}: bad frame count {header['frames']}")
-    if not (isinstance(header["fps"], (int, float)) and header["fps"] > 0):
-        raise HeaderError(f"{path.name}: bad fps {header['fps']}")
 
 
 LABEL_FILE = "labels.json"

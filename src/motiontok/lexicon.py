@@ -2,13 +2,13 @@
 nearest-centroid assignment, and maximal-run token streams."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .data import LabeledCorpus
+from .data import (FORMAT_VERSION, HeaderError, LabeledCorpus, encode_container, read_container,
+                   write_container)
 from .tan import TanWeights, embed_sequence
 
 
@@ -213,32 +213,22 @@ def build_lexicon(corpus: LabeledCorpus, weights: TanWeights, k: int, seed: int 
 _LEX_MAGIC = "acton-lexicon"
 
 
+def _lexicon_shapes(header: dict, path: Path) -> list[tuple[int, ...]]:
+    """Lexicon header rule: a metadata object and one (k, dim) centroid array."""
+    if not isinstance(header.get("metadata"), dict):
+        raise HeaderError(f"{path.name}: lexicon header has no metadata object")
+    return [(header.get("k"), header.get("dim"))]
+
+
 def save_lexicon(lexicon: Lexicon, path: str | Path) -> Path:
-    path = Path(path)
-    header = {
-        "format": _LEX_MAGIC,
-        "version": 1,
-        "k": lexicon.k,
-        "dim": lexicon.dim,
-        "metadata": lexicon.metadata,
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        fh.write(np.ascontiguousarray(lexicon.centroids, dtype="<f8").tobytes())
-    return path
+    header = {"format": _LEX_MAGIC, "version": FORMAT_VERSION, "k": lexicon.k,
+              "dim": lexicon.dim, "metadata": lexicon.metadata}
+    return write_container(Path(path), encode_container(header, [lexicon.centroids], "<f8"))
 
 
 def load_lexicon(path: str | Path) -> Lexicon:
-    raw = Path(path).read_bytes()
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise ValueError(f"{path}: not a lexicon file")
-    header = json.loads(raw[:nl].decode("utf-8"))
-    if header.get("format") != _LEX_MAGIC:
-        raise ValueError(f"{path}: not a lexicon file")
-    k, dim = header["k"], header["dim"]
-    arr = np.frombuffer(raw, dtype="<f8", count=k * dim, offset=nl + 1)
-    return Lexicon(centroids=arr.reshape(k, dim).copy(), metadata=header["metadata"])
+    header, (centroids,) = read_container(path, _LEX_MAGIC, "<f8", _lexicon_shapes)
+    return Lexicon(centroids=centroids.copy(), metadata=header["metadata"])
 
 
 def write_token_streams(streams: list[TokenStream], path: str | Path,

@@ -3,7 +3,6 @@ transformer encoder stack, and the unit-sphere projection head."""
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -11,7 +10,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, ShapeError
-from .data import SkeletonSequence
+from .data import (FORMAT_VERSION, HeaderError, SkeletonSequence, encode_container,
+                   read_container, write_container)
 
 
 @dataclass(frozen=True)
@@ -62,36 +62,40 @@ class TanWeights:
         return all(np.isfinite(t.values).all() for t in self.tensors.values())
 
 
-def _linear_init(rng: np.random.Generator, fan_in: int, fan_out: int):
-    bound = np.sqrt(1.0 / fan_in)
-    w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
-    b = rng.uniform(-bound, bound, size=fan_out)
-    return w, b
-
-
-def init_weights(config: TanConfig, joints: int, seed: int) -> TanWeights:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
+def _weight_shapes(config: TanConfig, joints: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every learnable tensor, in init and checkpoint order."""
     h, ffn, f = config.hidden_dim, config.ffn_dim, config.projection_dim
-    t: dict[str, Tensor] = {}
+    shapes: dict[str, tuple[int, ...]] = {}
 
     def linear(name: str, fan_in: int, fan_out: int):
-        w, b = _linear_init(rng, fan_in, fan_out)
-        t[f"{name}.w"] = ad.parameter(w, f"{name}.w")
-        t[f"{name}.b"] = ad.parameter(b, f"{name}.b")
+        shapes[f"{name}.w"] = (fan_in, fan_out)
+        shapes[f"{name}.b"] = (fan_out,)
 
     linear("embed.fc1", 3 * joints, h)
     linear("embed.fc2", h, h)
     for i in range(config.encoder_layers):
         for proj in ("q", "k", "v", "o"):
             linear(f"enc{i}.attn.{proj}", h, h)
-        t[f"enc{i}.ln1.gamma"] = ad.parameter(np.ones(h), f"enc{i}.ln1.gamma")
-        t[f"enc{i}.ln1.beta"] = ad.parameter(np.zeros(h), f"enc{i}.ln1.beta")
+        shapes[f"enc{i}.ln1.gamma"] = shapes[f"enc{i}.ln1.beta"] = (h,)
         linear(f"enc{i}.ffn.fc1", h, ffn)
         linear(f"enc{i}.ffn.fc2", ffn, h)
-        t[f"enc{i}.ln2.gamma"] = ad.parameter(np.ones(h), f"enc{i}.ln2.gamma")
-        t[f"enc{i}.ln2.beta"] = ad.parameter(np.zeros(h), f"enc{i}.ln2.beta")
+        shapes[f"enc{i}.ln2.gamma"] = shapes[f"enc{i}.ln2.beta"] = (h,)
     linear("proj.fc1", h, h)
     linear("proj.fc2", h, f)
+    return shapes
+
+
+def init_weights(config: TanConfig, joints: int, seed: int) -> TanWeights:
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
+    shapes = _weight_shapes(config, joints)
+    t: dict[str, Tensor] = {}
+    for name, shape in shapes.items():
+        if name.endswith((".gamma", ".beta")):  # layer norms start as the identity
+            values = np.full(shape, float(name.endswith(".gamma")))
+        else:  # a linear layer's .w or .b, uniform in +-1/sqrt(fan_in of its .w)
+            bound = np.sqrt(1.0 / shapes[name[:-1] + "w"][0])
+            values = rng.uniform(-bound, bound, size=shape)
+        t[name] = ad.parameter(values, name)
     return TanWeights(config=config, joints=joints, seed=seed, tensors=t)
 
 
@@ -219,43 +223,35 @@ def embed_sequence(seq: SkeletonSequence | np.ndarray, w: TanWeights,
 _CKPT_MAGIC = "tan-checkpoint"
 
 
+def _checkpoint_chunks(w: TanWeights) -> list:
+    header = {"format": _CKPT_MAGIC, "version": FORMAT_VERSION, "config": asdict(w.config),
+              "joints": w.joints, "seed": w.seed,
+              "tensors": [{"name": n, "shape": list(t.shape)} for n, t in w.tensors.items()]}
+    return encode_container(header, [t.values for t in w.tensors.values()], "<f8")
+
+
+def _checkpoint_shapes(header: dict, path: Path) -> list[tuple[int, ...]]:
+    """Checkpoint rule: valid config, integer seed, manifest = init_weights layout."""
+    try:
+        shapes = _weight_shapes(TanConfig(**header["config"]), header["joints"])
+        if not isinstance(header["seed"], int):
+            raise TypeError(f"seed {header['seed']!r} is not an integer")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise HeaderError(f"{path.name}: bad checkpoint header: {exc!r}") from exc
+    if header.get("tensors") != [{"name": n, "shape": list(s)} for n, s in shapes.items()]:
+        raise HeaderError(f"{path.name}: tensor manifest does not match config and joints")
+    return list(shapes.values())
+
+
 def save_checkpoint(w: TanWeights, path: str | Path) -> Path:
-    path = Path(path)
-    names = list(w.tensors)
-    header = {
-        "format": _CKPT_MAGIC,
-        "version": 1,
-        "config": asdict(w.config),
-        "joints": w.joints,
-        "seed": w.seed,
-        "tensors": [{"name": n, "shape": list(w.tensors[n].shape)} for n in names],
-    }
-    with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8") + b"\n")
-        for n in names:
-            fh.write(np.ascontiguousarray(w.tensors[n].values, dtype="<f8").tobytes())
-    return path
+    return write_container(Path(path), _checkpoint_chunks(w))
 
 
 def load_checkpoint(path: str | Path) -> TanWeights:
-    raw = Path(path).read_bytes()
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise ValueError(f"{path}: not a checkpoint file")
-    header = json.loads(raw[:nl].decode("utf-8"))
-    if header.get("format") != _CKPT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
-    config = TanConfig(**header["config"])
-    tensors: dict[str, Tensor] = {}
-    offset = nl + 1
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=count, offset=offset)
-        offset += count * 8
-        tensors[entry["name"]] = ad.parameter(arr.reshape(shape), entry["name"])
-    return TanWeights(config=config, joints=int(header["joints"]),
-                      seed=int(header["seed"]), tensors=tensors)
+    header, arrays = read_container(path, _CKPT_MAGIC, "<f8", _checkpoint_shapes)
+    tensors = {e["name"]: ad.parameter(a, e["name"]) for e, a in zip(header["tensors"], arrays)}
+    return TanWeights(config=TanConfig(**header["config"]), joints=header["joints"],
+                      seed=header["seed"], tensors=tensors)
 
 
 def checkpoint_digest(path: str | Path) -> str:
@@ -266,15 +262,6 @@ def checkpoint_digest(path: str | Path) -> str:
 def weights_digest(w: TanWeights) -> str:
     """Digest of in-memory weights, identical to checkpoint_digest after save."""
     blob = hashlib.sha256()
-    header = {
-        "format": _CKPT_MAGIC,
-        "version": 1,
-        "config": asdict(w.config),
-        "joints": w.joints,
-        "seed": w.seed,
-        "tensors": [{"name": n, "shape": list(w.tensors[n].shape)} for n in w.tensors],
-    }
-    blob.update(json.dumps(header).encode("utf-8") + b"\n")
-    for n in w.tensors:
-        blob.update(np.ascontiguousarray(w.tensors[n].values, dtype="<f8").tobytes())
+    for chunk in _checkpoint_chunks(w):
+        blob.update(chunk)
     return blob.hexdigest()[:16]

@@ -343,6 +343,8 @@ def train_tan(corpus: LabeledCorpus, tan_config: TanConfig, train_config: TrainC
             losses.append(float(loss.values))
             gnorms.append(gnorm)
             global_step += 1
+            # drop this step's graph before the next step builds its own
+            loss = va = vb = items = None
         history.append(EpochStats(
             epoch=epoch, mean_loss=float(np.mean(losses)), lr=lr,
             mean_grad_norm=float(np.mean(gnorms)), max_grad_norm=float(np.max(gnorms)),

@@ -14,12 +14,15 @@ from motiontok.cli import (
     cmd_sweep_k,
     cmd_tokenize,
     cmd_train,
+    evaluate,
     load_config,
     make_config,
     run,
     split_corpus,
 )
-from motiontok.data import generate_synthetic_corpus, load_corpus, load_sequence
+from motiontok.data import LabeledCorpus, generate_synthetic_corpus, load_corpus, load_sequence
+from motiontok.lexicon import Lexicon
+from motiontok.tan import load_checkpoint
 
 
 TINY_OVERRIDES = {
@@ -168,6 +171,30 @@ class TestCommands:
         for row in rows[1:]:
             k, nmi_val, f2 = row.split("\t")
             assert 0.0 <= float(nmi_val) <= 1.0
+
+
+    def test_sweep_row_matches_built_lexicon(self, pipeline):
+        _, corpus_dir, ckpt, _, root = pipeline
+        overrides = dict(TINY_OVERRIDES, lexicon={"k": 3, "max_iters": 1},
+                         metrics=dict(TINY_OVERRIDES["metrics"], sweep_k=[3]))
+        config = make_config(profile="desk", seed=1, overrides=overrides)
+        lex = cmd_build_lexicon(config, corpus_dir, ckpt, root / "lex_one_iter.bin")
+        report = cmd_eval(config, corpus_dir, ckpt, lex, root / "eval_one_iter")
+        out = cmd_sweep_k(config, corpus_dir, ckpt, root / "grid_one_iter.tsv")
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        assert rows[1:] == [f"3\t{report.nmi:.6g}\t{report.f2:.6g}"]
+
+    def test_eval_single_token_leaves_f2_undefined(self, pipeline, tmp_path):
+        config, corpus_dir, ckpt, _, _ = pipeline
+        corpus = load_corpus(corpus_dir)
+        one = LabeledCorpus(corpus.sequences[-1:], corpus.frame_labels[-1:],
+                            corpus.primitive_count)
+        lexicon = Lexicon(centroids=np.zeros((1, config.tan.projection_dim)))
+        report = evaluate(one, load_checkpoint(ckpt), lexicon, config)
+        assert report.f2 is None
+        report.save(tmp_path)
+        assert json.loads((tmp_path / "metrics.json").read_text())["f2"] is None
+        assert "f2=" not in (tmp_path / "metrics.txt").read_text()
 
 
 class TestCliProcess:

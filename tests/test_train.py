@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -250,6 +252,21 @@ class TestTrainLoop:
         assert history == []
         for name in ref.tensors:
             assert np.array_equal(w.tensors[name].values, ref.tensors[name].values)
+
+    def test_step_graph_released_before_next_step(self, corpus, monkeypatch):
+        from motiontok import train as train_module
+        original = train_module.frame_nt_xent
+        previous, alive = [], []
+
+        def watched(va, vb, *args, **kwargs):
+            alive.extend(ref() is not None for ref in previous)
+            loss = original(va, vb, *args, **kwargs)
+            previous[:] = [weakref.ref(va[0].values), weakref.ref(loss.values)]
+            return loss
+
+        monkeypatch.setattr(train_module, "frame_nt_xent", watched)
+        train_tan(corpus, TINY_TAN, self._cfg(2))
+        assert len(alive) == 6 and not any(alive)
 
     def test_seeded_runs_bit_identical(self, corpus):
         _, h1 = train_tan(corpus, TINY_TAN, self._cfg(2))
