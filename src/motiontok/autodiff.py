@@ -18,7 +18,7 @@ class ShapeError(ValueError):
     """Operand shapes incompatible for an op."""
 
 
-_STATE = threading.local()  # per-thread so parallel inference cannot race
+_STATE = threading.local()  # per-thread: one thread's no_grad leaves the others recording
 
 
 def _grad_enabled() -> bool:
@@ -327,11 +327,15 @@ def mean(a, axis: int | None = None) -> Tensor:
 
 # --- normalization and similarity ops ----------------------------------------
 
+def softmax_forward(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Max-shifted softmax of a plain array; the forward of `softmax`."""
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
 def softmax(a, axis: int = -1) -> Tensor:
     a = as_tensor(a)
-    shifted = a.values - a.values.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_values = e / e.sum(axis=axis, keepdims=True)
+    out_values = softmax_forward(a.values, axis)
 
     def bwd(g):
         if a.requires_grad:
@@ -365,6 +369,17 @@ def masked_logsumexp(a, mask: np.ndarray, axis: int = -1) -> Tensor:
     return _result(out_values, (a,), "masked_logsumexp", bwd)
 
 
+def layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+                       eps: float = 1e-5) -> tuple[np.ndarray, tuple]:
+    """Forward of `layer_norm` on plain arrays: (output, (xhat, inv, active)),
+    the second part being what the backward pass reuses."""
+    xc = x - x.mean(axis=-1, keepdims=True)
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(np.maximum(var, eps))
+    xhat = xc * inv
+    return xhat * gamma + beta, (xhat, inv, var > eps)
+
+
 def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     """Normalize over the last axis to mean 0 / variance 1, then apply the
     per-feature affine. The variance is floored at eps (not shifted by it), so
@@ -373,13 +388,7 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     d = a.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise ShapeError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} vs features {d}")
-    mu = a.values.mean(axis=-1, keepdims=True)
-    xc = a.values - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    active = var > eps
-    inv = 1.0 / np.sqrt(np.maximum(var, eps))
-    xhat = xc * inv
-    out_values = xhat * gamma.values + beta.values
+    out_values, (xhat, inv, active) = layer_norm_forward(a.values, gamma.values, beta.values, eps)
 
     def bwd(g):
         if gamma.requires_grad:
@@ -395,13 +404,18 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     return _result(out_values, (a, gamma, beta), "layer_norm", bwd)
 
 
+def l2_normalize_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward of `l2_normalize` on a plain array: (unit rows, their norms)."""
+    norm = np.sqrt((x * x).sum(axis=-1, keepdims=True))
+    if (norm < 1e-12).any():
+        raise ValueError("l2_normalize: degenerate vector with norm < 1e-12")
+    return x / norm, norm
+
+
 def l2_normalize(a) -> Tensor:
     """Scale each vector along the last axis to unit L2 norm."""
     a = as_tensor(a)
-    norm = np.sqrt((a.values * a.values).sum(axis=-1, keepdims=True))
-    if (norm < 1e-12).any():
-        raise ValueError("l2_normalize: degenerate vector with norm < 1e-12")
-    out_values = a.values / norm
+    out_values, norm = l2_normalize_forward(a.values)
 
     def bwd(g):
         if a.requires_grad:

@@ -20,8 +20,10 @@ import numpy as np
 from .augment import AugmentRanges, make_view_pair
 from .data import (LabeledCorpus, SkeletonSequence, center_normalize, generate_synthetic_corpus,
                    load_corpus, save_corpus, save_sequence)
-from .lexicon import (Lexicon, build_lexicon, load_lexicon, save_lexicon, segment,
-                      tokenize_corpus, assign, write_token_streams)
+# assign is not called here; it stays importable as cli.assign for callers that wrap it
+from .lexicon import (Lexicon, assign, build_lexicon, cluster_features, corpus_features,
+                      load_lexicon, save_lexicon, segment, tokenize_corpus, tokenize_features,
+                      write_token_streams)
 from .metrics import MetricsReport, entropy_table, kendalls_tau, ngram_entropy, nmi, detection_map
 from .apps import build_instance_library, compose, detect, learn_acton_class_map
 from .tan import (TanConfig, TanWeights, checkpoint_digest, embed_sequence,
@@ -220,20 +222,12 @@ def tokenize_threaded(corpus: LabeledCorpus, weights: TanWeights, lexicon: Lexic
     """tokenize_corpus, optionally fanned out across a thread pool.
 
     Results are gathered by sequence index, so the output is identical at any
-    thread count."""
+    thread count. Workers overlap inside numpy's native code; each should run
+    single-threaded BLAS (OPENBLAS_NUM_THREADS=1), or they compete for cores."""
     if threads <= 1:
         return tokenize_corpus(corpus, weights, lexicon)
-    space = lexicon.metadata.get("feature_space", "projection")
-    window = lexicon.metadata.get("context_window")
-
-    def one(seq):
-        features = embed_sequence(seq, weights, space=space, window=window)
-        labels = assign(features, lexicon)
-        return segment(labels), labels
-
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(one, corpus.sequences))
-    return [r[0] for r in results], [r[1] for r in results]
+        return tokenize_corpus(corpus, weights, lexicon, map_fn=pool.map)
 
 
 def truth_intervals(labels: np.ndarray) -> list[tuple[int, int, int]]:
@@ -247,15 +241,13 @@ def evaluate(corpus: LabeledCorpus, weights: TanWeights, lexicon: Lexicon,
     """Alignment, clustering, and token-entropy metrics on one corpus slice."""
     streams, frame_actons = tokenize_threaded(corpus, weights, lexicon, threads)
     rows = entropy_table(streams, config.metrics.n_max)
-    # F_2 is undefined below two tokens; the report then writes it as null
-    f2 = ngram_entropy(streams, 2)[1] if sum(len(s.segments) for s in streams) > 1 else None
     tau = alignment_tau(corpus, config.augment, config.metrics.tau_pairs,
                         config.seed, tan_embed_fn(weights),
                         crop_len=config.tan.sequence_length)
     return MetricsReport(
         kendalls_tau=tau,
         nmi=corpus_nmi(corpus, frame_actons),
-        f2=f2,
+        f2=_f2(streams),  # the report writes an undefined F_2 as null
         entropy_rows=rows,
         provenance={
             "config_digest": config.digest(),
@@ -264,6 +256,14 @@ def evaluate(corpus: LabeledCorpus, weights: TanWeights, lexicon: Lexicon,
             "checkpoint_digest": lexicon.metadata.get("checkpoint_digest"),
         },
     )
+
+
+def _f2(streams) -> float | None:
+    """Conditional bigram entropy F_2 of token streams; None where it is
+    undefined, i.e. no single stream holds two tokens."""
+    if not any(len(s.segments) >= 2 for s in streams):
+        return None
+    return ngram_entropy(streams, 2)[1]
 
 
 def _guard_digest(lexicon: Lexicon, ckpt_digest: str) -> None:
@@ -314,19 +314,19 @@ def cmd_build_lexicon(config: PipelineConfig, corpus_dir: Path, ckpt: Path,
     corpus = load_corpus(corpus_dir)
     train_split, _ = split_corpus(corpus, config.metrics.eval_fraction)
     weights = load_checkpoint(ckpt)
-    lex = _build_lexicon(config, train_split, weights, config.lexicon.k,
-                         checkpoint_digest(ckpt))
+    lex = build_lexicon(train_split, weights, config.lexicon.k,
+                        **_lexicon_settings(config, checkpoint_digest(ckpt)))
     save_lexicon(lex, out_lex)
     return out_lex
 
 
-def _build_lexicon(config: PipelineConfig, split: LabeledCorpus, weights: TanWeights,
-                   k: int, digest: str) -> Lexicon:
-    """build_lexicon with every lexicon setting; sweep rows match build-lexicon."""
+def _lexicon_settings(config: PipelineConfig, digest: str) -> dict:
+    """Every lexicon setting, as build_lexicon / cluster_features keywords, so
+    each sweep row clusters exactly as build-lexicon does."""
     opts = config.lexicon
-    return build_lexicon(split, weights, k, seed=config.seed, space=opts.feature_space,
-                         checkpoint_digest=digest, max_iters=opts.max_iters, tol=opts.tol,
-                         window=opts.context_window or config.tan.sequence_length)
+    return dict(seed=config.seed, space=opts.feature_space, checkpoint_digest=digest,
+                max_iters=opts.max_iters, tol=opts.tol,
+                window=opts.context_window or config.tan.sequence_length)
 
 
 def _load_guarded(ckpt: Path, lex_path: Path) -> tuple[TanWeights, Lexicon]:
@@ -428,14 +428,17 @@ def cmd_sweep_k(config: PipelineConfig, corpus_dir: Path, ckpt: Path,
     corpus = load_corpus(corpus_dir)
     train_split, eval_split = split_corpus(corpus, config.metrics.eval_fraction)
     weights = load_checkpoint(ckpt)
-    digest = checkpoint_digest(ckpt)
+    settings = _lexicon_settings(config, checkpoint_digest(ckpt))
+    # embed each split once; every K clusters and tokenizes the same features
+    view = dict(space=settings["space"], window=settings["window"])
+    train_points = np.concatenate(corpus_features(train_split, weights, **view))
+    eval_features = corpus_features(eval_split, weights, **view)
     rows = []
     for k in config.metrics.sweep_k:
-        lex = _build_lexicon(config, train_split, weights, k, digest)
-        streams, frame_actons = tokenize_threaded(eval_split, weights, lex,
-                                                  config.threads)
-        _, f2 = ngram_entropy(streams, 2)
-        rows.append((k, corpus_nmi(eval_split, frame_actons), f2))
+        lex = cluster_features(train_points, k, **settings)
+        streams, frame_actons = zip(*(tokenize_features(f, lex) for f in eval_features))
+        f2 = _f2(streams)
+        rows.append((k, corpus_nmi(eval_split, frame_actons), np.nan if f2 is None else f2))
     with open(out_path, "w") as fh:
         for line in _header(config):
             fh.write(f"# {line}\n")

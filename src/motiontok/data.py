@@ -177,7 +177,10 @@ def load_sequence(path: str | Path) -> SkeletonSequence:
     if path.name.endswith(TEXT_EXT):
         header = _parse_header(path.read_bytes(), None, path)
         (shape,) = _sequence_shapes(header, path)
-        data = np.asarray(header.get("data"), dtype=np.float64)
+        try:
+            data = np.asarray(header.get("data"), dtype=np.float64)
+        except (TypeError, ValueError) as exc:  # non-numeric entries or ragged nesting
+            raise PayloadSizeError(f"{path.name}: data is not a numeric array: {exc}") from exc
         if data.shape != shape:
             raise PayloadSizeError(f"{path.name}: data shape {data.shape}, header {shape}")
     elif path.name.endswith(BINARY_EXT):

@@ -161,30 +161,34 @@ def segment(labels) -> TokenStream:
         (int(s), int(e), int(labels[s])) for s, e in zip(starts, ends)))
 
 
+def tokenize_features(features: np.ndarray, lexicon: Lexicon,
+                      ) -> tuple[TokenStream, np.ndarray]:
+    """One sequence's frame features -> nearest-centroid labels -> token stream."""
+    labels = assign(features, lexicon)
+    return segment(labels), labels
+
+
 def tokenize_corpus(corpus: LabeledCorpus, weights: TanWeights, lexicon: Lexicon,
-                    ) -> tuple[list[TokenStream], list[np.ndarray]]:
+                    map_fn=map) -> tuple[list[TokenStream], list[np.ndarray]]:
     """Encode, project, assign, and segment every sequence of a corpus.
 
     Features are computed in the space and context window the lexicon was
-    built with (recorded in its metadata)."""
+    built with (recorded in its metadata). map_fn runs the per-sequence work
+    (an executor's map fans it out); results keep the corpus order."""
     space = lexicon.metadata.get("feature_space", "projection")
     window = lexicon.metadata.get("context_window")
-    streams, frame_labels = [], []
-    for seq in corpus.sequences:
-        features = embed_sequence(seq, weights, space=space, window=window)
-        labels = assign(features, lexicon)
-        streams.append(segment(labels))
-        frame_labels.append(labels)
-    return streams, frame_labels
+    results = list(map_fn(
+        lambda seq: tokenize_features(
+            embed_sequence(seq, weights, space=space, window=window), lexicon),
+        corpus.sequences))
+    return [stream for stream, _ in results], [labels for _, labels in results]
 
 
-def corpus_frame_features(corpus: LabeledCorpus, weights: TanWeights,
-                          space: str = "projection",
-                          window: int | None = None) -> np.ndarray:
-    """All frame embeddings of a corpus stacked into one (M, F) matrix."""
-    return np.concatenate(
-        [embed_sequence(seq, weights, space=space, window=window)
-         for seq in corpus.sequences])
+def corpus_features(corpus: LabeledCorpus, weights: TanWeights, space: str = "projection",
+                    window: int | None = None) -> list[np.ndarray]:
+    """Frame embeddings of every sequence of a corpus, one (T, F) matrix each."""
+    return [embed_sequence(seq, weights, space=space, window=window)
+            for seq in corpus.sequences]
 
 
 def build_lexicon(corpus: LabeledCorpus, weights: TanWeights, k: int, seed: int = 0,
@@ -197,8 +201,18 @@ def build_lexicon(corpus: LabeledCorpus, weights: TanWeights, k: int, seed: int 
     context each frame is embedded in; it is recorded in the lexicon metadata
     so assignment at tokenize time uses identical features.
     """
-    features = corpus_frame_features(corpus, weights, space=space, window=window)
-    lex = kmeans(features, k, seed=seed, max_iters=max_iters, tol=tol)
+    points = np.concatenate(corpus_features(corpus, weights, space=space, window=window))
+    return cluster_features(points, k, seed=seed, space=space,
+                            checkpoint_digest=checkpoint_digest, max_iters=max_iters,
+                            tol=tol, window=window)
+
+
+def cluster_features(points: np.ndarray, k: int, seed: int = 0, space: str = "projection",
+                     checkpoint_digest: str | None = None, max_iters: int = 300,
+                     tol: float = 1e-6, window: int | None = None) -> Lexicon:
+    """K-means lexicon of frame features already embedded in `space` with
+    context `window`; both are recorded in the metadata, as build_lexicon does."""
+    lex = kmeans(points, k, seed=seed, max_iters=max_iters, tol=tol)
     lex.metadata.update({
         "feature_space": space,
         "checkpoint_digest": checkpoint_digest,

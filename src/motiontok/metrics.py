@@ -99,15 +99,15 @@ def _block_entropy(streams: list[list[int]], n: int) -> float:
 def ngram_entropy(streams, n: int) -> tuple[float, float]:
     """Empirical block entropy K_N and conditional entropy F_N = K_N - K_{N-1}.
 
-    Windows are counted within each stream and never cross stream boundaries;
-    K_0 is defined as 0.
+    Windows are counted within each stream and never cross stream boundaries,
+    so at least one stream must hold n tokens; K_0 is defined as 0.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     symbol_streams = _as_symbol_streams(streams)
-    total = sum(len(s) for s in symbol_streams)
-    if total < n:
-        raise ValueError(f"need at least {n} tokens, got {total}")
+    longest = max((len(s) for s in symbol_streams), default=0)
+    if longest < n:
+        raise ValueError(f"need a stream of at least {n} tokens, the longest has {longest}")
     k_n = _block_entropy(symbol_streams, n)
     k_prev = _block_entropy(symbol_streams, n - 1) if n > 1 else 0.0
     return k_n, k_n - k_prev

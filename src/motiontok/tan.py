@@ -187,35 +187,120 @@ def project(z: Tensor, w: TanWeights) -> Tensor:
     return ad.l2_normalize(h)
 
 
+# --- graph-free inference -------------------------------------------------------
+#
+# Plain-numpy kernels over the raw weight arrays; they build no Tensor. Layer
+# norm, softmax and the unit-sphere normalization are the forwards the autodiff
+# ops run, so training and inference share that math.
+
+
+def _linear(x: np.ndarray, p: dict, name: str) -> np.ndarray:
+    """(..., din) @ (din, dout) + bias, as one 2-D product over all rows."""
+    w = p[name + ".w"]
+    out = x.reshape(-1, w.shape[0]) @ w
+    out += p[name + ".b"]
+    return out.reshape(*x.shape[:-1], w.shape[1])
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.ndarray:
+    """Scaled dot-product attention of q (n, r, h) over k, v (n, L, h), with
+    the heads folded into one batched product; returns (n, r, h)."""
+    n, r, h = q.shape
+    dh = h // heads
+    split = lambda a: a.reshape(n, -1, heads, dh).transpose(0, 2, 1, 3)
+    scores = (split(q) @ split(k).transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh))
+    ctx = ad.softmax_forward(scores) @ split(v)
+    return ctx.transpose(0, 2, 1, 3).reshape(n, r, h)
+
+
+def _encode_windows(e: np.ndarray, pe: np.ndarray, layer0: dict | None, frames: np.ndarray,
+                    keep: np.ndarray, p: dict, config: TanConfig) -> np.ndarray:
+    """Hidden features (n, r, h) of the kept slots of n windows.
+
+    e: (T, h) embedded frames; pe: (L, h) positions of the L window slots;
+    frames: (n, L) frame of every slot; keep: (n, r) slots whose outputs are
+    wanted. layer0[c], if given, holds (e @ W_c + b_c, pe @ W_c) for c in q,
+    k, v: since (e + pe) @ W = e @ W + pe @ W, the first layer's projections
+    are then gathered, not recomputed per window; None runs the first layer
+    on e[frames] + pe like any other. Earlier layers run on every slot,
+    because their outputs are the next layer's keys and values; the last
+    layer computes its queries, output projection, FFN and norms for the kept
+    slots only.
+    """
+    slots = np.broadcast_to(np.arange(pe.shape[0]), frames.shape)
+    last = config.encoder_layers - 1
+    x = None if layer0 else e[frames] + pe
+    for i in range(config.encoder_layers):
+        pre = f"enc{i}."
+        rows = keep if i == last else slots
+        if x is None:
+            rows_f = np.take_along_axis(frames, rows, axis=1)
+            gather = lambda c, f, s: layer0[c][0][f] + layer0[c][1][s]
+            x_rows = e[rows_f] + pe[rows]
+            q = gather("q", rows_f, rows)
+            k, v = gather("k", frames, slots), gather("v", frames, slots)
+        else:
+            x_rows = x if rows is slots else np.take_along_axis(x, rows[..., None], axis=1)
+            q = _linear(x_rows, p, pre + "attn.q")
+            k, v = _linear(x, p, pre + "attn.k"), _linear(x, p, pre + "attn.v")
+        ctx = _attend(q, k, v, config.attention_heads)
+        x, _ = ad.layer_norm_forward(x_rows + _linear(ctx, p, pre + "attn.o"),
+                                     p[pre + "ln1.gamma"], p[pre + "ln1.beta"])
+        ff = _linear(np.maximum(_linear(x, p, pre + "ffn.fc1"), 0.0), p, pre + "ffn.fc2")
+        x, _ = ad.layer_norm_forward(x + ff, p[pre + "ln2.gamma"], p[pre + "ln2.beta"])
+    return x
+
+
 def embed_sequence(seq: SkeletonSequence | np.ndarray, w: TanWeights,
                    space: str = "projection", window: int | None = None,
-                   chunk: int = 96) -> np.ndarray:
+                   chunk: int = 32) -> np.ndarray:
     """Inference helper: per-frame feature matrix of one sequence (no graph).
 
     window embeds every frame inside a centered window of that many frames
     (clamped at the sequence ends), keeping long sequences in the temporal
     regime the encoder was trained on and giving every interior frame the
     same positional slot. None encodes the whole sequence in one pass.
+
+    The result equals running encode (and project) on each frame's window and
+    keeping that frame's row, but each distinct window is encoded once (the
+    clamped windows at the ends serve several frames), the embedding MLP and
+    the first layer's projections run once per frame, and the last layer and
+    the projection head run for the served frames only. Windows are encoded
+    chunk at a time, so the per-window buffers hold at most chunk x window rows.
     """
     if space not in ("projection", "hidden"):
         raise ValueError(f"unknown feature space {space!r}")
-    flat = seq.flat() if isinstance(seq, SkeletonSequence) else np.asarray(seq)
+    flat = seq.flat() if isinstance(seq, SkeletonSequence) else np.asarray(seq, np.float64)
+    if flat.ndim != 2 or flat.shape[1] != 3 * w.joints:
+        raise ShapeError(f"embed_sequence: expected (T, {3 * w.joints}) frames, got {flat.shape}")
     t = flat.shape[0]
-    with ad.no_grad():
-        if window is None or t <= window:
-            z = encode(flat, w)
-            out = z if space == "hidden" else project(z, w)
-            return out.values[0]
-        starts = np.clip(np.arange(t) - window // 2, 0, t - window)
-        rel = np.arange(t) - starts
-        rows = []
-        for lo in range(0, t, chunk):
-            hi = min(lo + chunk, t)
-            windows = np.stack([flat[s:s + window] for s in starts[lo:hi]])
-            z = encode(windows, w)
-            out = z if space == "hidden" else project(z, w)
-            rows.append(out.values[np.arange(hi - lo), rel[lo:hi]])
-        return np.concatenate(rows)
+    p = {name: tensor.values for name, tensor in w.tensors.items()}
+    e = _linear(np.maximum(_linear(flat, p, "embed.fc1"), 0.0), p, "embed.fc2")
+    windowed = window is not None and t > window
+    if windowed:
+        # (start, kept slots) of each distinct window, grouped by how many
+        # frames it serves: one inside, several at either clamped end
+        starts, first, count = np.unique(np.clip(np.arange(t) - window // 2, 0, t - window),
+                                         return_index=True, return_counts=True)
+        length = window
+        groups = [(starts[count == c], (first - starts)[count == c, None] + np.arange(c))
+                  for c in np.unique(count)]
+    else:
+        length, groups = t, [(np.zeros(1, np.int64), np.arange(t)[None])]
+    pe = positional_encoding(length, w.config.hidden_dim)
+    # overlapping windows share frames: project each frame and slot once
+    layer0 = ({c: (_linear(e, p, f"enc0.attn.{c}"), pe @ p[f"enc0.attn.{c}.w"]) for c in "qkv"}
+              if windowed else None)
+    z = np.empty((t, w.config.hidden_dim))
+    for starts, keep in groups:
+        for lo in range(0, len(starts), chunk):
+            s, kept = starts[lo:lo + chunk, None], keep[lo:lo + chunk]
+            z[s + kept] = _encode_windows(e, pe, layer0, s + np.arange(length), kept, p,
+                                          w.config)
+    if space == "hidden":
+        return z
+    h = _linear(np.maximum(_linear(z, p, "proj.fc1"), 0.0), p, "proj.fc2")
+    return ad.l2_normalize_forward(h)[0]
 
 
 # --- checkpoints ---------------------------------------------------------------

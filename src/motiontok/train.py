@@ -53,18 +53,6 @@ class TrainConfig:
             raise ValueError(f"unknown negative_mode {self.negative_mode!r}")
 
 
-def negative_set(n: int, i: int, mode: str, shape: tuple[int, int]) -> list[tuple[int, int]]:
-    """Negative (clip, frame) indices over the opposite view for reference (n, i)."""
-    clips, frames = shape
-    if not (0 <= n < clips and 0 <= i < frames):
-        raise ValueError(f"reference ({n}, {i}) outside batch shape {shape}")
-    if mode == ALL_FRAMES:
-        return [(k, j) for k in range(clips) for j in range(frames) if k != n or j != i]
-    if mode == EXCLUDE_SAME_CLIP:
-        return [(k, j) for k in range(clips) for j in range(frames) if k != n]
-    raise ValueError(f"unknown negative_mode {mode!r}")
-
-
 def _as_view_list(v) -> list[Tensor]:
     if isinstance(v, Tensor):
         if v.values.ndim == 3:

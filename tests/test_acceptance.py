@@ -39,6 +39,9 @@ from motiontok.train import frame_nt_xent, tcc_loss, tcn_loss, train_tan
 from test_autodiff import _catalog_cases, _param
 
 
+pytestmark = pytest.mark.slow
+
+
 def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"\n[criterion {criterion}] {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"criterion {criterion}: {detail}"

@@ -20,7 +20,9 @@ from motiontok.cli import (
     run,
     split_corpus,
 )
-from motiontok.data import LabeledCorpus, generate_synthetic_corpus, load_corpus, load_sequence
+from motiontok import lexicon as lexicon_module
+from motiontok.data import (LabeledCorpus, generate_synthetic_corpus, load_corpus, load_sequence,
+                            save_corpus)
 from motiontok.lexicon import Lexicon
 from motiontok.tan import load_checkpoint
 
@@ -183,6 +185,55 @@ class TestCommands:
         out = cmd_sweep_k(config, corpus_dir, ckpt, root / "grid_one_iter.tsv")
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert rows[1:] == [f"3\t{report.nmi:.6g}\t{report.f2:.6g}"]
+
+    def test_sweep_embeds_each_split_once(self, pipeline, tmp_path, monkeypatch):
+        _, corpus_dir, ckpt, _, _ = pipeline
+        grid = [2, 3, 5]
+        overrides = dict(TINY_OVERRIDES, metrics=dict(TINY_OVERRIDES["metrics"], sweep_k=grid))
+        config = make_config(profile="desk", seed=1, overrides=overrides)
+        embedded = []
+        original = lexicon_module.embed_sequence
+
+        def counted(seq, *args, **kwargs):
+            embedded.append(seq.frames)
+            return original(seq, *args, **kwargs)
+
+        monkeypatch.setattr(lexicon_module, "embed_sequence", counted)
+        out = cmd_sweep_k(config, corpus_dir, ckpt, tmp_path / "grid.tsv")
+        monkeypatch.undo()
+        assert sum(embedded) == sum(s.frames for s in load_corpus(corpus_dir).sequences)
+        # every row is what build-lexicon at that K followed by eval reports
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        expected = []
+        for k in grid:
+            at_k = make_config(profile="desk", seed=1,
+                               overrides=dict(overrides, lexicon={"k": k}))
+            lex = cmd_build_lexicon(at_k, corpus_dir, ckpt, tmp_path / f"lex{k}.bin")
+            report = cmd_eval(at_k, corpus_dir, ckpt, lex, tmp_path / f"eval{k}")
+            expected.append(f"{k}\t{report.nmi:.6g}\t{report.f2:.6g}")
+        assert rows == expected
+
+    def test_sweep_single_token_eval_writes_nan(self, pipeline, tmp_path):
+        _, corpus_dir, ckpt, _, _ = pipeline
+        corpus = load_corpus(corpus_dir)
+        three = tmp_path / "three"
+        save_corpus(LabeledCorpus(corpus.sequences[:3], corpus.frame_labels[:3],
+                                  corpus.primitive_count), three)
+        overrides = dict(TINY_OVERRIDES, metrics=dict(TINY_OVERRIDES["metrics"], sweep_k=[1]))
+        config = make_config(profile="desk", seed=1, overrides=overrides)
+        out = cmd_sweep_k(config, three, ckpt, tmp_path / "grid.tsv")
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
+        # one eval sequence, one cluster: a single token, so F_2 is undefined
+        ((k, _, f2),) = [row.split("\t") for row in rows[1:]]
+        assert (k, f2) == ("1", "nan")
+
+    def test_eval_one_token_per_stream_leaves_f2_undefined(self, pipeline):
+        config, corpus_dir, ckpt, _, _ = pipeline
+        corpus = load_corpus(corpus_dir)
+        two = LabeledCorpus(corpus.sequences[:2], corpus.frame_labels[:2],
+                            corpus.primitive_count)
+        lexicon = Lexicon(centroids=np.zeros((1, config.tan.projection_dim)))
+        assert evaluate(two, load_checkpoint(ckpt), lexicon, config).f2 is None
 
     def test_eval_single_token_leaves_f2_undefined(self, pipeline, tmp_path):
         config, corpus_dir, ckpt, _, _ = pipeline

@@ -213,3 +213,24 @@ def test_inconsistent_header(tmp_path, fmt, edit, error):
 def test_typed_errors_are_value_errors():
     for error in (HeaderError, PayloadSizeError, NonFiniteError):
         assert issubclass(error, SequenceFormatError) and issubclass(error, ValueError)
+
+
+class TestTextVariant:
+    """The .skseq.json variant keeps its data in the header's JSON; a data
+    array that is not numeric, or not rectangular, is a typed error too."""
+
+    def _write(self, tmp_path, data):
+        path = tmp_path / "s.skseq.json"
+        path.write_text(json.dumps({"version": 1, "fps": 30.0, "joints": 1, "frames": 2,
+                                    "data": data}))
+        return path
+
+    def test_non_numeric_data(self, tmp_path):
+        path = self._write(tmp_path, [[[0.0, 1.0, 2.0]], [["x", 1.0, 2.0]]])
+        with pytest.raises(PayloadSizeError, match="numeric"):
+            load_sequence(path)
+
+    def test_ragged_data(self, tmp_path):
+        path = self._write(tmp_path, [[[0.0, 1.0, 2.0]], [[0.0, 1.0]]])
+        with pytest.raises(PayloadSizeError, match="numeric"):
+            load_sequence(path)

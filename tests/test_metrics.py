@@ -135,6 +135,11 @@ class TestNgramEntropy:
         with pytest.raises(ValueError):
             ngram_entropy([[1]], 2)
 
+    def test_no_stream_long_enough(self):
+        # two tokens in total, but no stream holds a bigram: F_2 is undefined
+        with pytest.raises(ValueError, match="at least 2 tokens"):
+            ngram_entropy([segment(np.zeros(5, int)), segment(np.ones(4, int))], 2)
+
 
 def _brute_force_markov_entropies(pi, p, n_max):
     """Oracle: enumerate all words, sum -p log2 p, fully independently."""

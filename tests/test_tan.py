@@ -193,3 +193,50 @@ class TestEmbedSequence:
         w = tiny_weights()
         with pytest.raises(ValueError):
             embed_sequence(np.zeros((3, 9)), w, space="bogus")
+
+
+def _window_oracle(x, w, space, window):
+    """Tensor encode (and project) run on each frame's clamped window, keeping
+    that frame's row; window None (or T <= window) encodes the whole clip."""
+    def run(clip):
+        z = encode(clip, w)
+        return (z if space == "hidden" else project(z, w)).values[0]
+
+    t = x.shape[0]
+    if window is None or t <= window:
+        return run(x)
+    rows = []
+    for i in range(t):
+        start = min(max(i - window // 2, 0), t - window)
+        rows.append(run(x[start:start + window])[i - start])
+    return np.array(rows)
+
+
+class TestWindowedInference:
+    """embed_sequence (hoisted embedding and first-layer projections,
+    last layer on the target row only) against the per-window Tensor forward."""
+
+    WINDOW, CHUNK = 6, 4
+
+    @pytest.mark.parametrize("layers", [1, 3])
+    @pytest.mark.parametrize("space", ["hidden", "projection"])
+    @pytest.mark.parametrize("frames,window", [
+        (5, WINDOW),    # T < window: one whole-clip pass
+        (6, WINDOW),    # T = window
+        (7, WINDOW),    # T = window + 1: two distinct clamped windows
+        (23, WINDOW),   # 23 windows, not a multiple of chunk
+        (9, None),      # whole sequence
+    ])
+    def test_matches_per_window_encode(self, layers, space, frames, window):
+        config = TanConfig(hidden_dim=16, encoder_layers=layers, attention_heads=4,
+                           projection_dim=8, sequence_length=6)
+        w = init_weights(config, joints=3, seed=layers)
+        x = np.random.default_rng(frames).normal(size=(frames, 9))
+        got = embed_sequence(x, w, space=space, window=window, chunk=self.CHUNK)
+        want = _window_oracle(x, w, space, window)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-10
+
+    def test_wrong_feature_dim_rejected(self):
+        with pytest.raises(ShapeError):
+            embed_sequence(np.zeros((4, 8)), tiny_weights(), window=3)

@@ -6,14 +6,13 @@ import pytest
 from motiontok import autodiff as ad
 from motiontok.autodiff import Tensor
 from motiontok.data import generate_synthetic_corpus
-from motiontok.tan import TanConfig
+from motiontok.tan import TanConfig, weights_digest
 from motiontok.train import (
     ALL_FRAMES,
     EXCLUDE_SAME_CLIP,
     TrainConfig,
     frame_nt_xent,
     lr_at,
-    negative_set,
     tcc_loss,
     tcn_loss,
     train_tan,
@@ -21,6 +20,19 @@ from motiontok.train import (
 
 TINY_TAN = TanConfig(hidden_dim=16, encoder_layers=1, attention_heads=2,
                      projection_dim=8, sequence_length=12)
+
+
+def negative_set(n: int, i: int, mode: str, shape: tuple[int, int]) -> list[tuple[int, int]]:
+    """Loss oracle: negative (clip, frame) indices over the opposite view for
+    reference (n, i), enumerated from the definition of each mode."""
+    clips, frames = shape
+    if not (0 <= n < clips and 0 <= i < frames):
+        raise ValueError(f"reference ({n}, {i}) outside batch shape {shape}")
+    if mode == ALL_FRAMES:
+        return [(k, j) for k in range(clips) for j in range(frames) if k != n or j != i]
+    if mode == EXCLUDE_SAME_CLIP:
+        return [(k, j) for k in range(clips) for j in range(frames) if k != n]
+    raise ValueError(f"unknown negative_mode {mode!r}")
 
 
 class TestNegativeSet:
@@ -273,6 +285,20 @@ class TestTrainLoop:
         _, h2 = train_tan(corpus, TINY_TAN, self._cfg(2))
         assert [e.mean_loss for e in h1] == [e.mean_loss for e in h2]
         assert [e.mean_grad_norm for e in h1] == [e.mean_grad_norm for e in h2]
+
+    @pytest.mark.parametrize("loss_kind,layers,batch,digest", [
+        ("tan", 1, 4, "e10fd8457e6a2863"),
+        ("tcc", 2, 2, "9c207075334724bb"),
+    ])
+    def test_trained_weights_pinned(self, corpus, loss_kind, layers, batch, digest):
+        # bit-level pin of the training arithmetic (forward kernels, backward,
+        # Adam): any reordering of a floating-point operation moves the digest,
+        # and so may another numpy/BLAS build
+        tan_config = TanConfig(hidden_dim=16, encoder_layers=layers, attention_heads=2,
+                               projection_dim=8, sequence_length=12)
+        w, _ = train_tan(corpus, tan_config, self._cfg(2, batch_size=batch),
+                         loss_kind=loss_kind)
+        assert weights_digest(w) == digest
 
     def test_loss_decreases_over_training(self, corpus):
         _, history = train_tan(corpus, TINY_TAN, self._cfg(6))
