@@ -146,10 +146,6 @@ def scalar_mul(a, c: float) -> Tensor:
     return _result(a.values * c, (a,), "scalar_mul", bwd)
 
 
-def neg(a) -> Tensor:
-    return scalar_mul(a, -1.0)
-
-
 def exp(a) -> Tensor:
     a = as_tensor(a)
     out_values = np.exp(a.values)
@@ -438,11 +434,6 @@ def dot_last(a, b) -> Tensor:
             b.grad += ge * a.values
 
     return _result((a.values * b.values).sum(axis=-1), (a, b), "dot_last", bwd)
-
-
-def cosine_last(a, b) -> Tensor:
-    """Cosine similarity over the last axis."""
-    return dot_last(l2_normalize(a), l2_normalize(b))
 
 
 # --- graph walk ---------------------------------------------------------------

@@ -12,7 +12,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -503,9 +503,9 @@ def run(argv: list[str] | None = None) -> int:
     config = load_config(args.config, profile=args.profile, seed=args.seed,
                          threads=args.threads)
     if getattr(args, "k", None):
-        config = _replace_nested(config, "lexicon", {"k": args.k})
+        config = replace(config, lexicon=replace(config.lexicon, k=args.k))
     if getattr(args, "words", None):
-        config = _replace_nested(config, "composition", {"words": args.words})
+        config = replace(config, composition=replace(config.composition, words=args.words))
 
     if args.command == "gen-synth":
         args.out.mkdir(parents=True, exist_ok=True)
@@ -528,18 +528,6 @@ def run(argv: list[str] | None = None) -> int:
     elif args.command == "sweep-k":
         cmd_sweep_k(config, args.corpus, args.checkpoint, args.out)
     return 0
-
-
-def _replace_nested(config: PipelineConfig, section: str, updates: dict) -> PipelineConfig:
-    data = asdict(config)
-    data[section].update(updates)
-    profile = data.pop("profile")
-    seed = data.pop("seed")
-    threads = data.pop("threads")
-    overrides = {k: v for k, v in data.items()}
-    overrides["seed"] = seed
-    overrides["threads"] = threads
-    return make_config(profile=profile, seed=seed, overrides=overrides)
 
 
 def main() -> None:

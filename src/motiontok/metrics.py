@@ -114,11 +114,13 @@ def ngram_entropy(streams, n: int) -> tuple[float, float]:
 
 
 def entropy_table(streams, n_max: int) -> list[tuple[int, float, float]]:
-    """(N, K_N, F_N) rows for N = 1..n_max on empirical streams."""
+    """(N, K_N, F_N) rows for N = 1..n_max on empirical streams, stopping at
+    the longest stream: as in ngram_entropy, a row needs one stream of N tokens."""
     symbol_streams = _as_symbol_streams(streams)
+    longest = max((len(s) for s in symbol_streams), default=0)
     rows = []
     k_prev = 0.0
-    for n in range(1, n_max + 1):
+    for n in range(1, min(n_max, longest) + 1):
         k_n = _block_entropy(symbol_streams, n)
         rows.append((n, k_n, k_n - k_prev))
         k_prev = k_n

@@ -121,32 +121,28 @@ def _linear3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def _attention(x: Tensor, w: TanWeights, layer: int, attn_sink: list | None) -> Tensor:
-    cfg = w.config
+    """Multi-head self-attention with the heads folded into one batched
+    product, the layout `_attend` uses; attn_sink receives one (B, T, T)
+    weight array per head."""
     t = w.tensors
     bsz, length, h = x.shape
-    q = _linear3(x, t[f"enc{layer}.attn.q.w"], t[f"enc{layer}.attn.q.b"])
-    k = _linear3(x, t[f"enc{layer}.attn.k.w"], t[f"enc{layer}.attn.k.b"])
-    v = _linear3(x, t[f"enc{layer}.attn.v.w"], t[f"enc{layer}.attn.v.b"])
-    dh = cfg.head_dim
-    scale = 1.0 / np.sqrt(dh)
-    heads = []
-    for j in range(cfg.attention_heads):
-        key = (slice(None), slice(None), slice(j * dh, (j + 1) * dh))
-        qh = ad.slice_tensor(q, key)
-        kh = ad.slice_tensor(k, key)
-        vh = ad.slice_tensor(v, key)
-        scores = ad.scalar_mul(ad.matmul(qh, ad.transpose(kh, (0, 2, 1))), scale)
-        attn = ad.softmax(scores, axis=-1)
-        if attn_sink is not None:
-            attn_sink.append(attn.values)
-        heads.append(ad.matmul(attn, vh))
-    ctx = ad.concat(heads, axis=-1)
+    heads, dh = w.config.attention_heads, w.config.head_dim
+
+    def split(proj: str) -> Tensor:  # (B, T, H*dh) -> (B, H, T, dh)
+        a = _linear3(x, t[f"enc{layer}.attn.{proj}.w"], t[f"enc{layer}.attn.{proj}.b"])
+        return ad.transpose(ad.reshape(a, (bsz, length, heads, dh)), (0, 2, 1, 3))
+
+    q, k, v = split("q"), split("k"), split("v")
+    scores = ad.scalar_mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    attn = ad.softmax(scores, axis=-1)
+    if attn_sink is not None:
+        attn_sink.extend(np.moveaxis(attn.values, 1, 0))
+    ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (bsz, length, h))
     return _linear3(ctx, t[f"enc{layer}.attn.o.w"], t[f"enc{layer}.attn.o.b"])
 
 
-def encode(x, w: TanWeights, *, use_positional: bool = True,
-           attn_sink: list | None = None) -> Tensor:
-    """Per-frame hidden features of a batch.
+def encode(x, w: TanWeights, *, attn_sink: list | None = None) -> Tensor:
+    """Per-frame hidden features of a batch, with sinusoidal positions added.
 
     x: (B, T, 3J) array/Tensor or a (T, 3J) single item; the temporal
     resolution of the output matches the input exactly.
@@ -165,9 +161,8 @@ def encode(x, w: TanWeights, *, use_positional: bool = True,
     h = _linear3(x, t["embed.fc1.w"], t["embed.fc1.b"])
     h = ad.relu(h)
     h = _linear3(h, t["embed.fc2.w"], t["embed.fc2.b"])
-    if use_positional:
-        pe = positional_encoding(x.shape[1], w.config.hidden_dim)
-        h = ad.add(h, Tensor(np.broadcast_to(pe, h.shape).copy()))
+    pe = positional_encoding(x.shape[1], w.config.hidden_dim)
+    h = ad.add(h, Tensor(np.broadcast_to(pe, h.shape).copy()))
     for i in range(w.config.encoder_layers):
         attn = _attention(h, w, i, attn_sink)
         h = ad.layer_norm(ad.add(h, attn), t[f"enc{i}.ln1.gamma"], t[f"enc{i}.ln1.beta"])
@@ -192,6 +187,11 @@ def project(z: Tensor, w: TanWeights) -> Tensor:
 # Plain-numpy kernels over the raw weight arrays; they build no Tensor. Layer
 # norm, softmax and the unit-sphere normalization are the forwards the autodiff
 # ops run, so training and inference share that math.
+
+# Windows encoded per batch in windowed mode. It bounds the per-window buffers
+# to _CHUNK x window rows; at desk size 32 ran faster than 96 or one batch of
+# all windows.
+_CHUNK = 32
 
 
 def _linear(x: np.ndarray, p: dict, name: str) -> np.ndarray:
@@ -252,8 +252,7 @@ def _encode_windows(e: np.ndarray, pe: np.ndarray, layer0: dict | None, frames: 
 
 
 def embed_sequence(seq: SkeletonSequence | np.ndarray, w: TanWeights,
-                   space: str = "projection", window: int | None = None,
-                   chunk: int = 32) -> np.ndarray:
+                   space: str = "projection", window: int | None = None) -> np.ndarray:
     """Inference helper: per-frame feature matrix of one sequence (no graph).
 
     window embeds every frame inside a centered window of that many frames
@@ -266,7 +265,7 @@ def embed_sequence(seq: SkeletonSequence | np.ndarray, w: TanWeights,
     clamped windows at the ends serve several frames), the embedding MLP and
     the first layer's projections run once per frame, and the last layer and
     the projection head run for the served frames only. Windows are encoded
-    chunk at a time, so the per-window buffers hold at most chunk x window rows.
+    _CHUNK at a time, so the per-window buffers hold at most _CHUNK x window rows.
     """
     if space not in ("projection", "hidden"):
         raise ValueError(f"unknown feature space {space!r}")
@@ -293,8 +292,8 @@ def embed_sequence(seq: SkeletonSequence | np.ndarray, w: TanWeights,
               if windowed else None)
     z = np.empty((t, w.config.hidden_dim))
     for starts, keep in groups:
-        for lo in range(0, len(starts), chunk):
-            s, kept = starts[lo:lo + chunk, None], keep[lo:lo + chunk]
+        for lo in range(0, len(starts), _CHUNK):
+            s, kept = starts[lo:lo + _CHUNK, None], keep[lo:lo + _CHUNK]
             z[s + kept] = _encode_windows(e, pe, layer0, s + np.arange(length), kept, p,
                                           w.config)
     if space == "hidden":

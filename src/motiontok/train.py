@@ -53,14 +53,6 @@ class TrainConfig:
             raise ValueError(f"unknown negative_mode {self.negative_mode!r}")
 
 
-def _as_view_list(v) -> list[Tensor]:
-    if isinstance(v, Tensor):
-        if v.values.ndim == 3:
-            return [ad.slice_tensor(v, (k,)) for k in range(v.shape[0])]
-        return [v]
-    return list(v)
-
-
 def _direction_loss(sim: Tensor, anchor_rows: np.ndarray, positive_cols: np.ndarray,
                     anchor_clip: np.ndarray, col_clip: np.ndarray, mode: str) -> Tensor:
     """Per-anchor -log softmax terms for one view direction.
@@ -94,13 +86,12 @@ def frame_nt_xent(v_a, v_b, correspondences: list[list[tuple[int, int]]],
                   mode: str = EXCLUDE_SAME_CLIP, tau: float = 0.1) -> Tensor:
     """Symmetrized frame-wise contrastive loss over a batch of view pairs.
 
-    v_a, v_b: per-clip projected frame tensors, view lengths may differ across
-    clips. correspondences[n] lists the (i_a, i_b) positive pairs of clip n.
-    Frames without a correspondence contribute no positive term but still
-    serve as negatives. The total is the mean over 2 * (positive pair count).
+    v_a, v_b: sequences of per-clip projected frame tensors, view lengths may
+    differ across clips. correspondences[n] lists the (i_a, i_b) positive
+    pairs of clip n. Frames without a correspondence contribute no positive
+    term but still serve as negatives. The total is the mean over 2 * (positive pair count).
     """
-    views_a = _as_view_list(v_a)
-    views_b = _as_view_list(v_b)
+    views_a, views_b = list(v_a), list(v_b)
     if len(views_a) != len(views_b) or len(views_a) != len(correspondences):
         raise ValueError("views and correspondences must agree in clip count")
     if not tau > 0:

@@ -182,9 +182,6 @@ def _catalog_cases():
             ad.l2_normalize(x), w(x.shape, 21))), (3, 4), None),
         ("dot_last", lambda x: ad.tensor_sum(ad.mul(ad.dot_last(x, ad.exp(x)),
                                                     w((3,), 22))), (3, 4), None),
-        ("cosine_last", lambda x: ad.tensor_sum(ad.mul(
-            ad.cosine_last(x, Tensor(np.random.default_rng(23).normal(size=x.shape))),
-            w((3,), 23))), (3, 4), None),
         ("add_bias", lambda x: ad.tensor_sum(ad.mul(
             ad.add_bias(x, Tensor(np.arange(4.0))), w(x.shape, 24))), (3, 4), None),
         ("masked_logsumexp", lambda x: ad.tensor_sum(ad.mul(ad.masked_logsumexp(

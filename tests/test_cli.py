@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from motiontok.cli import (
     run,
     split_corpus,
 )
+from motiontok import cli as cli_module
 from motiontok import lexicon as lexicon_module
 from motiontok.data import (LabeledCorpus, generate_synthetic_corpus, load_corpus, load_sequence,
                             save_corpus)
@@ -246,6 +248,43 @@ class TestCommands:
         report.save(tmp_path)
         assert json.loads((tmp_path / "metrics.json").read_text())["f2"] is None
         assert "f2=" not in (tmp_path / "metrics.txt").read_text()
+
+    @pytest.mark.parametrize("command,flag,override", [
+        ("build-lexicon", ["--k", "3"], {"lexicon": {"k": 3}}),
+        ("compose", ["--words", "2"], {"composition": {"words": 2}}),
+    ])
+    def test_flag_matches_config_file(self, pipeline, tmp_path, monkeypatch,
+                                      command, flag, override):
+        _, corpus_dir, ckpt, lex, _ = pipeline
+        attr = "cmd_" + command.replace("-", "_")
+        original = getattr(cli_module, attr)
+        configs = []
+
+        def recorded(config, *args):
+            configs.append(config)
+            return original(config, *args)
+
+        monkeypatch.setattr(cli_module, attr, recorded)
+        outputs = []
+        for how, overrides, extra in (("flag", TINY_OVERRIDES, flag),
+                                      ("file", dict(TINY_OVERRIDES, **override), [])):
+            cfg = tmp_path / f"{how}.json"
+            cfg.write_text(json.dumps(overrides))
+            out = tmp_path / (how + (".bin" if command == "build-lexicon" else ".skseq"))
+            args = ["--corpus", str(corpus_dir), "--checkpoint", str(ckpt), "--out", str(out)]
+            if command == "compose":
+                args += ["--lexicon", str(lex)]
+            assert run(["--config", str(cfg), "--seed", "1", command, *args, *extra]) == 0
+            outputs.append(out)
+        assert configs[0] == configs[1]
+        assert configs[0].digest() == configs[1].digest()
+        if command == "build-lexicon":
+            assert lexicon_module.load_lexicon(outputs[0]).k == 3
+        else:
+            outputs = [Path(str(o) + ".words.txt") for o in outputs]
+            words = outputs[0].read_text().split("# words=")[1].split()[0]
+            assert len(words.split(",")) == 2
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
 
 class TestCliProcess:

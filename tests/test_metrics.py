@@ -140,6 +140,13 @@ class TestNgramEntropy:
         with pytest.raises(ValueError, match="at least 2 tokens"):
             ngram_entropy([segment(np.zeros(5, int)), segment(np.ones(4, int))], 2)
 
+    def test_table_stops_at_longest_stream(self):
+        # no stream holds a trigram: the table ends at N = 2, like ngram_entropy
+        table = entropy_table([[0, 1], [1, 0]], 3)
+        assert [row[0] for row in table] == [1, 2]
+        for n, k_n, f_n in table:
+            assert (k_n, f_n) == pytest.approx(ngram_entropy([[0, 1], [1, 0]], n))
+
 
 def _brute_force_markov_entropies(pi, p, n_max):
     """Oracle: enumerate all words, sum -p log2 p, fully independently."""

@@ -75,12 +75,9 @@ class TestEncode:
 
     def test_positional_encoding_breaks_symmetry(self):
         w = tiny_weights()
-        x = np.zeros((1, 6, 9))
-        with_pe = encode(x, w, use_positional=True).values
-        without = encode(x, w, use_positional=False).values
-        assert not np.allclose(with_pe, without)
-        # without positions, identical frames embed identically
-        np.testing.assert_allclose(without[0, 0], without[0, 3], atol=1e-12)
+        z = encode(np.zeros((1, 6, 9)), w).values
+        # identical frames at different positions embed differently
+        assert not np.allclose(z[0, 0], z[0, 3])
 
     def test_input_dim_mismatch(self):
         w = tiny_weights(joints=3)
@@ -99,6 +96,16 @@ class TestEncode:
         assert len(sink) == TINY.encoder_layers * TINY.attention_heads
         for attn in sink:
             np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
+
+    def test_graph_size_independent_of_head_count(self):
+        x = np.random.default_rng(4).normal(size=(2, 6, 9))
+        nodes = []
+        for heads in (1, 2, 4):
+            config = TanConfig(hidden_dim=16, encoder_layers=2, attention_heads=heads,
+                               projection_dim=8, sequence_length=6)
+            w = init_weights(config, joints=3, seed=0)
+            nodes.append(len(ad.topo_order(ad.tensor_sum(project(encode(x, w), w)))))
+        assert nodes[0] == nodes[1] == nodes[2]
 
 
 class TestProject:
@@ -216,7 +223,7 @@ class TestWindowedInference:
     """embed_sequence (hoisted embedding and first-layer projections,
     last layer on the target row only) against the per-window Tensor forward."""
 
-    WINDOW, CHUNK = 6, 4
+    WINDOW = 6
 
     @pytest.mark.parametrize("layers", [1, 3])
     @pytest.mark.parametrize("space", ["hidden", "projection"])
@@ -224,7 +231,8 @@ class TestWindowedInference:
         (5, WINDOW),    # T < window: one whole-clip pass
         (6, WINDOW),    # T = window
         (7, WINDOW),    # T = window + 1: two distinct clamped windows
-        (23, WINDOW),   # 23 windows, not a multiple of chunk
+        (23, WINDOW),   # 18 distinct windows: one partial chunk
+        (40, WINDOW),   # 35 distinct windows, 33 interior: more than one chunk of 32
         (9, None),      # whole sequence
     ])
     def test_matches_per_window_encode(self, layers, space, frames, window):
@@ -232,7 +240,7 @@ class TestWindowedInference:
                            projection_dim=8, sequence_length=6)
         w = init_weights(config, joints=3, seed=layers)
         x = np.random.default_rng(frames).normal(size=(frames, 9))
-        got = embed_sequence(x, w, space=space, window=window, chunk=self.CHUNK)
+        got = embed_sequence(x, w, space=space, window=window)
         want = _window_oracle(x, w, space, window)
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-10
