@@ -4,7 +4,12 @@ Every operation records its parents and a backward closure on the result
 tensor; `backward` walks the implicit DAG once in reverse topological order
 and accumulates exact analytic gradients. There is no implicit broadcasting:
 element-wise ops demand identical shapes, and the only shape-bending ops are
-the ones defined here (matmul, add_bias, reductions, reshape, ...).
+the ones defined here (matmul, linear, add_bias, reductions, reshape, ...).
+
+Memory: parameters (leaves that require grad) hold an eager `.grad`, which
+the optimizer reads. An interior node gets its gradient buffer on the first
+accumulation into it, and `backward` drops that buffer and the node's closure,
+with the forward buffers it holds, as soon as the node has been propagated.
 """
 from __future__ import annotations
 
@@ -43,7 +48,8 @@ class Tensor:
                  backward=None):
         self.values = np.asarray(values, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(self.values) if self.requires_grad else None
+        # calloc'd zeros: a parameter that never trains touches no gradient page
+        self.grad = np.zeros(self.values.shape) if self.requires_grad and not parents else None
         self.parents = tuple(parents)
         self.op = op
         self._backward = backward
@@ -78,6 +84,18 @@ def _result(values, parents, op, backward) -> Tensor:
     return Tensor(values, requires_grad=True, parents=parents, op=op, backward=backward)
 
 
+def _grad_buffer(t: Tensor) -> np.ndarray:
+    """t's gradient accumulator, allocated as zeros in t's layout on first use."""
+    if t.grad is None:
+        t.grad = np.zeros_like(t.values)
+    return t.grad
+
+
+def _accumulate(t: Tensor, g) -> None:
+    buf = _grad_buffer(t)
+    buf += g
+
+
 def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
     if a.shape != b.shape:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} must match exactly")
@@ -91,9 +109,9 @@ def add(a, b) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g
+            _accumulate(a, g)
         if b.requires_grad:
-            b.grad += g
+            _accumulate(b, g)
 
     return _result(a.values + b.values, (a, b), "add", bwd)
 
@@ -104,9 +122,9 @@ def sub(a, b) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g
+            _accumulate(a, g)
         if b.requires_grad:
-            b.grad -= g
+            _accumulate(b, -g)
 
     return _result(a.values - b.values, (a, b), "sub", bwd)
 
@@ -117,9 +135,9 @@ def mul(a, b) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g * b.values
+            _accumulate(a, g * b.values)
         if b.requires_grad:
-            b.grad += g * a.values
+            _accumulate(b, g * a.values)
 
     return _result(a.values * b.values, (a, b), "mul", bwd)
 
@@ -130,7 +148,7 @@ def scalar_add(a, c: float) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g
+            _accumulate(a, g)
 
     return _result(a.values + c, (a,), "scalar_add", bwd)
 
@@ -141,7 +159,7 @@ def scalar_mul(a, c: float) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g * c
+            _accumulate(a, g * c)
 
     return _result(a.values * c, (a,), "scalar_mul", bwd)
 
@@ -152,7 +170,7 @@ def exp(a) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g * out_values
+            _accumulate(a, g * out_values)
 
     return _result(out_values, (a,), "exp", bwd)
 
@@ -162,7 +180,7 @@ def log(a) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g / a.values
+            _accumulate(a, g / a.values)
 
     return _result(np.log(a.values), (a,), "log", bwd)
 
@@ -173,7 +191,7 @@ def sqrt(a) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g * 0.5 / out_values
+            _accumulate(a, g * 0.5 / out_values)
 
     return _result(out_values, (a,), "sqrt", bwd)
 
@@ -184,7 +202,7 @@ def relu(a) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g * mask
+            _accumulate(a, g * mask)
 
     return _result(a.values * mask, (a,), "relu", bwd)
 
@@ -201,11 +219,40 @@ def matmul(a, b) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += np.matmul(g, np.swapaxes(b.values, -1, -2))
+            _accumulate(a, np.matmul(g, np.swapaxes(b.values, -1, -2)))
         if b.requires_grad:
-            b.grad += np.matmul(np.swapaxes(a.values, -1, -2), g)
+            _accumulate(b, np.matmul(np.swapaxes(a.values, -1, -2), g))
 
     return _result(np.matmul(a.values, b.values), (a, b), "matmul", bwd)
+
+
+def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(..., din) @ (din, dout) + bias on plain arrays, as one 2-D product
+    over all rows; the forward of `linear`."""
+    out = np.matmul(x.reshape(-1, w.shape[0]), w)
+    out += b
+    return out.reshape(*x.shape[:-1], w.shape[1])
+
+
+def linear(x, w, b) -> Tensor:
+    """Affine map of the last axis, x (..., din) @ w (din, dout) + b (dout,),
+    as one node. Forward and backward run the numpy operations of reshape ->
+    matmul -> add_bias -> reshape in the same order, so the bits agree."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if (w.values.ndim != 2 or b.shape != (w.shape[1],) or x.values.ndim < 1
+            or x.shape[-1] != w.shape[0]):
+        raise ShapeError(f"linear: {x.shape} @ {w.shape} + {b.shape}")
+
+    def bwd(g):
+        g2 = g.reshape(-1, w.shape[1])
+        if b.requires_grad:
+            _accumulate(b, g2.sum(axis=0))
+        if w.requires_grad:
+            _accumulate(w, np.matmul(x.values.reshape(-1, w.shape[0]).T, g2))
+        if x.requires_grad:
+            _accumulate(x, np.matmul(g2, w.values.T).reshape(x.shape))
+
+    return _result(linear_forward(x.values, w.values, b.values), (x, w, b), "linear", bwd)
 
 
 def transpose(a, axes: tuple[int, ...] | None = None) -> Tensor:
@@ -216,7 +263,7 @@ def transpose(a, axes: tuple[int, ...] | None = None) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += np.transpose(g, inverse)
+            _accumulate(a, np.transpose(g, inverse))
 
     return _result(np.transpose(a.values, axes), (a,), "transpose", bwd)
 
@@ -227,7 +274,7 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g.reshape(old)
+            _accumulate(a, g.reshape(old))
 
     return _result(a.values.reshape(shape), (a,), "reshape", bwd)
 
@@ -241,7 +288,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
         pieces = np.split(g, splits, axis=axis)
         for t, piece in zip(tensors, pieces):
             if t.requires_grad:
-                t.grad += piece
+                _accumulate(t, piece)
 
     return _result(np.concatenate([t.values for t in tensors], axis=axis),
                    tuple(tensors), "concat", bwd)
@@ -253,7 +300,7 @@ def slice_tensor(a, key) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad[key] += g
+            _grad_buffer(a)[key] += g
 
     return _result(a.values[key], (a,), "slice", bwd)
 
@@ -265,7 +312,7 @@ def take_rows(a, indices) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            np.add.at(a.grad, idx, g)
+            np.add.at(_grad_buffer(a), idx, g)
 
     return _result(a.values[idx], (a,), "take_rows", bwd)
 
@@ -278,9 +325,9 @@ def add_bias(a, b) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += g
+            _accumulate(a, g)
         if b.requires_grad:
-            b.grad += g.reshape(-1, b.shape[0]).sum(axis=0)
+            _accumulate(b, g.reshape(-1, b.shape[0]).sum(axis=0))
 
     return _result(a.values + b.values, (a, b), "add_bias", bwd)
 
@@ -292,12 +339,12 @@ def tensor_sum(a, axis: int | None = None) -> Tensor:
     if axis is None:
         def bwd(g):
             if a.requires_grad:
-                a.grad += g  # scalar g broadcasts
+                _accumulate(a, g)  # scalar g broadcasts
         return _result(a.values.sum(), (a,), "sum", bwd)
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += np.expand_dims(g, axis)
+            _accumulate(a, np.expand_dims(g, axis))
 
     return _result(a.values.sum(axis=axis), (a,), "sum", bwd)
 
@@ -309,14 +356,14 @@ def mean(a, axis: int | None = None) -> Tensor:
 
         def bwd(g):
             if a.requires_grad:
-                a.grad += g / n
+                _accumulate(a, g / n)
         return _result(a.values.mean(), (a,), "mean", bwd)
 
     n = a.shape[axis]
 
     def bwd(g):
         if a.requires_grad:
-            a.grad += np.expand_dims(g, axis) / n
+            _accumulate(a, np.expand_dims(g, axis) / n)
 
     return _result(a.values.mean(axis=axis), (a,), "mean", bwd)
 
@@ -336,7 +383,7 @@ def softmax(a, axis: int = -1) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             dot = (g * out_values).sum(axis=axis, keepdims=True)
-            a.grad += out_values * (g - dot)
+            _accumulate(a, out_values * (g - dot))
 
     return _result(out_values, (a,), "softmax", bwd)
 
@@ -360,7 +407,7 @@ def masked_logsumexp(a, mask: np.ndarray, axis: int = -1) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             soft = np.exp(neg_inf - np.expand_dims(out_values, axis))
-            a.grad += np.expand_dims(g, axis) * soft
+            _accumulate(a, np.expand_dims(g, axis) * soft)
 
     return _result(out_values, (a,), "masked_logsumexp", bwd)
 
@@ -388,14 +435,14 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
 
     def bwd(g):
         if gamma.requires_grad:
-            gamma.grad += (g * xhat).reshape(-1, d).sum(axis=0)
+            _accumulate(gamma, (g * xhat).reshape(-1, d).sum(axis=0))
         if beta.requires_grad:
-            beta.grad += g.reshape(-1, d).sum(axis=0)
+            _accumulate(beta, g.reshape(-1, d).sum(axis=0))
         if a.requires_grad:
             dxhat = g * gamma.values
             term = dxhat - dxhat.mean(axis=-1, keepdims=True)
             term -= active * xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            a.grad += inv * term
+            _accumulate(a, inv * term)
 
     return _result(out_values, (a, gamma, beta), "layer_norm", bwd)
 
@@ -416,7 +463,7 @@ def l2_normalize(a) -> Tensor:
     def bwd(g):
         if a.requires_grad:
             dot = (g * out_values).sum(axis=-1, keepdims=True)
-            a.grad += (g - out_values * dot) / norm
+            _accumulate(a, (g - out_values * dot) / norm)
 
     return _result(out_values, (a,), "l2_normalize", bwd)
 
@@ -429,9 +476,9 @@ def dot_last(a, b) -> Tensor:
     def bwd(g):
         ge = np.expand_dims(g, -1)
         if a.requires_grad:
-            a.grad += ge * b.values
+            _accumulate(a, ge * b.values)
         if b.requires_grad:
-            b.grad += ge * a.values
+            _accumulate(b, ge * a.values)
 
     return _result((a.values * b.values).sum(axis=-1), (a, b), "dot_last", bwd)
 
@@ -459,16 +506,24 @@ def topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate .grad on every reachable requires_grad tensor (seed 1)."""
+    """Accumulate d loss / d p into .grad of every reachable parameter p (seed 1).
+
+    Each interior node is propagated once and then releases its gradient and
+    its closure, so the graph cannot be walked backward a second time: that
+    raises RuntimeError instead of silently adding nothing.
+    """
     if loss.values.shape != ():
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
     if not loss.requires_grad:
         return
+    if loss.parents and loss._backward is None:
+        raise RuntimeError("backward: this graph was already propagated")
     order = topo_order(loss)
-    loss.grad += 1.0
+    _accumulate(loss, 1.0)
     for node in reversed(order):
-        if node._backward is not None:
+        if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+            node.grad = node._backward = None
 
 
 def grad_check(f, x: Tensor, eps: float = 1e-4) -> float:

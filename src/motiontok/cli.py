@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -50,6 +51,10 @@ class LexiconOptions:
     tol: float = 1e-6
     context_window: int | None = None  # None: the encoder's sequence_length
 
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"lexicon k must be >= 1, got {self.k}")
+
 
 @dataclass(frozen=True)
 class MetricOptions:
@@ -72,6 +77,10 @@ class CompositionOptions:
     words: int = 8
     boundary_threshold: float = 1.0
     blend_frames: int = 5
+
+    def __post_init__(self):
+        if self.words < 1:
+            raise ValueError(f"composition words must be >= 1, got {self.words}")
 
 
 @dataclass(frozen=True)
@@ -502,10 +511,14 @@ def run(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     config = load_config(args.config, profile=args.profile, seed=args.seed,
                          threads=args.threads)
-    if getattr(args, "k", None):
+    if getattr(args, "k", None) is not None:
         config = replace(config, lexicon=replace(config.lexicon, k=args.k))
-    if getattr(args, "words", None):
+    if getattr(args, "words", None) is not None:
         config = replace(config, composition=replace(config.composition, words=args.words))
+    if config.threads > 1 and "1" not in (os.environ.get("OPENBLAS_NUM_THREADS"),
+                                          os.environ.get("OMP_NUM_THREADS")):
+        print(f"warning: {config.threads} worker threads share multi-threaded BLAS and "
+              "compete for cores; set OPENBLAS_NUM_THREADS=1", file=sys.stderr)
 
     if args.command == "gen-synth":
         args.out.mkdir(parents=True, exist_ok=True)

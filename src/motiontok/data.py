@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -109,21 +110,27 @@ def read_container(path: str | Path, fmt: str | None, dtype: str, shapes,
                    ) -> tuple[dict, list[np.ndarray]]:
     """Read a container file, checking its header (format fmt, None: no such
     field), the format's own fields through shapes(header, path) -> declared
-    array shapes, the exact payload size and finite values. Arrays are float64."""
+    array shapes, the exact payload size and finite values. Arrays are float64,
+    writable views of one buffer the payload is read into once."""
     path = Path(path)
-    raw = path.read_bytes()
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise HeaderError(f"{path.name}: missing header line")
-    header = _parse_header(raw[:nl], fmt, path)
-    dims = shapes(header, path)
-    if not all(type(d) is int and d >= 1 for s in dims for d in s):
-        raise HeaderError(f"{path.name}: header declares bad array shapes {dims}")
-    counts = [math.prod(s) for s in dims]
-    size, expected = len(raw) - nl - 1, sum(counts) * np.dtype(dtype).itemsize
-    if size != expected:
-        raise PayloadSizeError(f"{path.name}: {size} payload bytes, header declares {expected}")
-    flat = np.frombuffer(raw, dtype=dtype, offset=nl + 1).astype(np.float64, copy=False)
+    with open(path, "rb") as fh:
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise HeaderError(f"{path.name}: missing header line")
+        header = _parse_header(line[:-1], fmt, path)
+        dims = shapes(header, path)
+        if not all(type(d) is int and d >= 1 for s in dims for d in s):
+            raise HeaderError(f"{path.name}: header declares bad array shapes {dims}")
+        counts = [math.prod(s) for s in dims]
+        size = os.fstat(fh.fileno()).st_size - len(line)
+        expected = sum(counts) * np.dtype(dtype).itemsize
+        if size != expected:
+            raise PayloadSizeError(f"{path.name}: {size} payload bytes, header declares {expected}")
+        payload = np.empty(sum(counts), dtype=dtype)
+        size = fh.readinto(memoryview(payload).cast("B"))
+        if size != expected:  # the file shrank while being read
+            raise PayloadSizeError(f"{path.name}: {size} payload bytes, header declares {expected}")
+    flat = payload.astype(np.float64, copy=False)
     if not np.isfinite(flat).all():
         raise NonFiniteError(f"{path.name}: payload contains non-finite values")
     parts = np.split(flat, np.cumsum(counts)[:-1])

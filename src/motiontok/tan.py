@@ -112,14 +112,6 @@ def positional_encoding(length: int, dim: int) -> np.ndarray:
     return table
 
 
-def _linear3(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """(B, T, din) @ (din, dout) + bias."""
-    bsz, t, din = x.shape
-    flat = ad.reshape(x, (bsz * t, din))
-    out = ad.add_bias(ad.matmul(flat, w), b)
-    return ad.reshape(out, (bsz, t, w.shape[1]))
-
-
 def _attention(x: Tensor, w: TanWeights, layer: int, attn_sink: list | None) -> Tensor:
     """Multi-head self-attention with the heads folded into one batched
     product, the layout `_attend` uses; attn_sink receives one (B, T, T)
@@ -129,7 +121,7 @@ def _attention(x: Tensor, w: TanWeights, layer: int, attn_sink: list | None) -> 
     heads, dh = w.config.attention_heads, w.config.head_dim
 
     def split(proj: str) -> Tensor:  # (B, T, H*dh) -> (B, H, T, dh)
-        a = _linear3(x, t[f"enc{layer}.attn.{proj}.w"], t[f"enc{layer}.attn.{proj}.b"])
+        a = ad.linear(x, t[f"enc{layer}.attn.{proj}.w"], t[f"enc{layer}.attn.{proj}.b"])
         return ad.transpose(ad.reshape(a, (bsz, length, heads, dh)), (0, 2, 1, 3))
 
     q, k, v = split("q"), split("k"), split("v")
@@ -138,7 +130,7 @@ def _attention(x: Tensor, w: TanWeights, layer: int, attn_sink: list | None) -> 
     if attn_sink is not None:
         attn_sink.extend(np.moveaxis(attn.values, 1, 0))
     ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (bsz, length, h))
-    return _linear3(ctx, t[f"enc{layer}.attn.o.w"], t[f"enc{layer}.attn.o.b"])
+    return ad.linear(ctx, t[f"enc{layer}.attn.o.w"], t[f"enc{layer}.attn.o.b"])
 
 
 def encode(x, w: TanWeights, *, attn_sink: list | None = None) -> Tensor:
@@ -158,17 +150,17 @@ def encode(x, w: TanWeights, *, attn_sink: list | None = None) -> Tensor:
             f"encode: input feature dim {x.shape[2]} does not match 3*J = {3 * w.joints}"
         )
     t = w.tensors
-    h = _linear3(x, t["embed.fc1.w"], t["embed.fc1.b"])
+    h = ad.linear(x, t["embed.fc1.w"], t["embed.fc1.b"])
     h = ad.relu(h)
-    h = _linear3(h, t["embed.fc2.w"], t["embed.fc2.b"])
+    h = ad.linear(h, t["embed.fc2.w"], t["embed.fc2.b"])
     pe = positional_encoding(x.shape[1], w.config.hidden_dim)
     h = ad.add(h, Tensor(np.broadcast_to(pe, h.shape).copy()))
     for i in range(w.config.encoder_layers):
         attn = _attention(h, w, i, attn_sink)
         h = ad.layer_norm(ad.add(h, attn), t[f"enc{i}.ln1.gamma"], t[f"enc{i}.ln1.beta"])
-        ff = _linear3(h, t[f"enc{i}.ffn.fc1.w"], t[f"enc{i}.ffn.fc1.b"])
+        ff = ad.linear(h, t[f"enc{i}.ffn.fc1.w"], t[f"enc{i}.ffn.fc1.b"])
         ff = ad.relu(ff)
-        ff = _linear3(ff, t[f"enc{i}.ffn.fc2.w"], t[f"enc{i}.ffn.fc2.b"])
+        ff = ad.linear(ff, t[f"enc{i}.ffn.fc2.w"], t[f"enc{i}.ffn.fc2.b"])
         h = ad.layer_norm(ad.add(h, ff), t[f"enc{i}.ln2.gamma"], t[f"enc{i}.ln2.beta"])
     return h
 
@@ -176,9 +168,9 @@ def encode(x, w: TanWeights, *, attn_sink: list | None = None) -> Tensor:
 def project(z: Tensor, w: TanWeights) -> Tensor:
     """Map hidden features onto the unit sphere in projection space."""
     t = w.tensors
-    h = _linear3(z, t["proj.fc1.w"], t["proj.fc1.b"])
+    h = ad.linear(z, t["proj.fc1.w"], t["proj.fc1.b"])
     h = ad.relu(h)
-    h = _linear3(h, t["proj.fc2.w"], t["proj.fc2.b"])
+    h = ad.linear(h, t["proj.fc2.w"], t["proj.fc2.b"])
     return ad.l2_normalize(h)
 
 
@@ -195,11 +187,8 @@ _CHUNK = 32
 
 
 def _linear(x: np.ndarray, p: dict, name: str) -> np.ndarray:
-    """(..., din) @ (din, dout) + bias, as one 2-D product over all rows."""
-    w = p[name + ".w"]
-    out = x.reshape(-1, w.shape[0]) @ w
-    out += p[name + ".b"]
-    return out.reshape(*x.shape[:-1], w.shape[1])
+    """The layer `name` applied to x (..., din): the forward of `ad.linear`."""
+    return ad.linear_forward(x, p[name + ".w"], p[name + ".b"])
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.ndarray:
@@ -333,14 +322,17 @@ def save_checkpoint(w: TanWeights, path: str | Path) -> Path:
 
 def load_checkpoint(path: str | Path) -> TanWeights:
     header, arrays = read_container(path, _CKPT_MAGIC, "<f8", _checkpoint_shapes)
-    tensors = {e["name"]: ad.parameter(a, e["name"]) for e, a in zip(header["tensors"], arrays)}
+    # the codec's arrays are fresh and writable: wrap them, do not copy them again
+    tensors = {e["name"]: Tensor(a, requires_grad=True, op=e["name"])
+               for e, a in zip(header["tensors"], arrays)}
     return TanWeights(config=TanConfig(**header["config"]), joints=header["joints"],
                       seed=header["seed"], tensors=tensors)
 
 
 def checkpoint_digest(path: str | Path) -> str:
     """Content hash used to pair lexicons with the checkpoint that produced them."""
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:16]
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()[:16]
 
 
 def weights_digest(w: TanWeights) -> str:

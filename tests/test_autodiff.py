@@ -97,6 +97,20 @@ class TestBackwardStructure:
 
         assert np.array_equal(run(), run())
 
+    def test_interior_grad_allocated_on_use_and_released(self):
+        x = ad.parameter(np.ones(3))
+        y = ad.mul(x, x)
+        loss = ad.tensor_sum(y)
+        assert y.grad is None and loss.grad is None  # nothing allocated by the forward
+        ad.backward(loss)
+        assert y.grad is None and y._backward is None
+        assert loss.grad is None and loss._backward is None
+        assert y.parents == (x, x)  # the graph stays walkable
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+        with pytest.raises(RuntimeError, match="already propagated"):
+            ad.backward(loss)
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
+
     def test_no_grad_blocks_recording(self):
         x = ad.parameter(np.ones(3))
         with ad.no_grad():
@@ -187,6 +201,18 @@ def _catalog_cases():
         ("masked_logsumexp", lambda x: ad.tensor_sum(ad.mul(ad.masked_logsumexp(
             x, np.random.default_rng(25).random((3, 5)) > 0.3, axis=1),
             w((3,), 25))), (3, 5), None),
+        ("linear_2d", lambda x: ad.tensor_sum(ad.mul(ad.linear(
+            x, _rand_weighting((4, 5), 26), _rand_weighting((5,), 27)), w((3, 5), 26))),
+         (3, 4), None),
+        ("linear_3d", lambda x: ad.tensor_sum(ad.mul(ad.linear(
+            x, _rand_weighting((4, 5), 28), _rand_weighting((5,), 29)), w((2, 3, 5), 28))),
+         (2, 3, 4), None),
+        ("linear_3d_weight", lambda x: ad.tensor_sum(ad.mul(ad.linear(
+            _rand_weighting((2, 3, 4), 30), x, _rand_weighting((5,), 31)), w((2, 3, 5), 30))),
+         (4, 5), None),
+        ("linear_3d_bias", lambda x: ad.tensor_sum(ad.mul(ad.linear(
+            _rand_weighting((2, 3, 4), 32), _rand_weighting((4, 5), 33), x), w((2, 3, 5), 32))),
+         (5,), None),
     ]
 
 
@@ -195,6 +221,38 @@ def _catalog_cases():
 def test_catalog_op_grad_check(name, fn, shape, kink):
     x = _param(shape, seed=zlib.crc32(name.encode()), avoid_kink=kink)
     assert ad.grad_check(fn, x, eps=1e-4) < 1e-4
+
+
+class TestLinear:
+    def test_matches_composed_ops_bit_for_bit(self):
+        # the reshape -> matmul -> add_bias -> reshape chain linear replaces
+        rng = np.random.default_rng(34)
+        x0, w0, b0 = rng.normal(size=(2, 5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+        weighting = _rand_weighting((2, 5, 3), 34)
+        results = []
+        for fused in (True, False):
+            x, w, b = ad.parameter(x0), ad.parameter(w0), ad.parameter(b0)
+            if fused:
+                out = ad.linear(x, w, b)
+            else:
+                flat = ad.add_bias(ad.matmul(ad.reshape(x, (10, 4)), w), b)
+                out = ad.reshape(flat, (2, 5, 3))
+            ad.backward(ad.tensor_sum(ad.mul(out, weighting)))
+            results.append([out.values, x.grad, w.grad, b.grad])
+        for fused, composed in zip(*results):
+            assert np.array_equal(fused, composed)
+
+    def test_one_node(self):
+        x = ad.parameter(np.ones((2, 3, 4)))
+        out = ad.linear(x, ad.parameter(np.ones((4, 5))), ad.parameter(np.ones(5)))
+        assert out.shape == (2, 3, 5) and out.op == "linear"
+        assert all(p.parents == () for p in out.parents)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeError, match="linear"):
+            ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
+        with pytest.raises(ShapeError, match="linear"):
+            ad.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(4)))
 
 
 class TestMaskedLogsumexp:

@@ -84,6 +84,14 @@ class TestConfig:
         config = load_config(path)
         assert config.seed == 7 and config.lexicon.k == 5
 
+    def test_lexicon_k_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            make_config("desk", overrides={"lexicon": {"k": 0}})
+
+    def test_composition_words_below_one_rejected(self):
+        with pytest.raises(ValueError, match="words must be >= 1"):
+            make_config("desk", overrides={"composition": {"words": 0}})
+
     def test_flag_overrides_beat_file(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"seed": 7}))
@@ -285,6 +293,40 @@ class TestCommands:
             words = outputs[0].read_text().split("# words=")[1].split()[0]
             assert len(words.split(",")) == 2
         assert outputs[0].read_bytes() == outputs[1].read_bytes()
+
+
+    def test_build_lexicon_k_zero_exits_nonzero(self, pipeline, tmp_path, monkeypatch, capsys):
+        _, corpus_dir, ckpt, _, _ = pipeline
+        out = tmp_path / "k0.bin"
+        monkeypatch.setattr(sys, "argv", ["motiontok", "build-lexicon", "--corpus",
+                                          str(corpus_dir), "--checkpoint", str(ckpt),
+                                          "--out", str(out), "--k", "0"])
+        with pytest.raises(SystemExit) as exc:
+            cli_module.main()
+        assert exc.value.code != 0
+        assert "k must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads,env,warned", [
+        (2, {}, True),
+        (2, {"OPENBLAS_NUM_THREADS": "1"}, False),
+        (2, {"OMP_NUM_THREADS": "1"}, False),
+        (2, {"OPENBLAS_NUM_THREADS": "4"}, True),
+        (1, {}, False),
+    ])
+    def test_threads_warn_without_single_threaded_blas(self, tmp_path, monkeypatch, capsys,
+                                                        threads, env, warned):
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(TINY_OVERRIDES))
+        assert run(["--config", str(cfg), "--threads", str(threads), "gen-synth",
+                    "--out", str(tmp_path / "corpus")]) == 0
+        err = capsys.readouterr().err
+        assert ("OPENBLAS_NUM_THREADS=1" in err) == warned
+        assert len(err.splitlines()) == int(warned)
 
 
 class TestCliProcess:

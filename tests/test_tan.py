@@ -178,6 +178,26 @@ class TestCheckpoints:
         w.tensors["embed.fc1.w"].values[0, 0] += 1.0
         assert weights_digest(w) != d1
 
+    def test_loaded_weights_writable_and_train_like_in_memory(self, tmp_path):
+        from motiontok.train import AdamState, adam_step, clip_gradients
+        w = tiny_weights(seed=2)
+        back = load_checkpoint(save_checkpoint(w, tmp_path / "w.tan"))
+        assert all(t.values.flags.writeable for t in back.tensors.values())
+        x = np.random.default_rng(3).normal(size=(2, 6, 9))
+        weighting = Tensor(np.random.default_rng(4).normal(size=(2, 6, 8)))
+        for weights in (w, back):
+            state = AdamState()
+            for _ in range(3):
+                weights.zero_grad()
+                v = project(encode(x, weights), weights)
+                ad.backward(ad.tensor_sum(ad.mul(v, weighting)))
+                clip_gradients(weights, 0.5)
+                adam_step(weights, state, 1e-2, 1e-6)
+        for name in w.tensors:
+            assert np.array_equal(back.tensors[name].values, w.tensors[name].values)
+            assert np.array_equal(back.tensors[name].grad, w.tensors[name].grad)
+        assert weights_digest(back) == weights_digest(w) != checkpoint_digest(tmp_path / "w.tan")
+
     def test_reject_non_checkpoint(self, tmp_path):
         p = tmp_path / "junk.tan"
         p.write_bytes(b"hello world\nmore")

@@ -244,6 +244,27 @@ class TestTccLoss:
         assert ad.grad_check(f, x, eps=1e-4) < 1e-4
 
 
+class TestBackwardMemory:
+    def test_interior_nodes_hold_nothing_after_backward(self):
+        # desk-size encoder (hidden 64, 2 layers, 4 heads) under the contrastive loss
+        from motiontok.tan import encode, init_weights, project
+        config = TanConfig(hidden_dim=64, encoder_layers=2, attention_heads=4,
+                           projection_dim=32, sequence_length=16)
+        weights = init_weights(config, joints=8, seed=0)
+        rng = np.random.default_rng(12)
+        views = [[ad.slice_tensor(project(encode(rng.normal(size=(16, 24)), weights), weights),
+                                  (0,)) for _ in range(2)] for _ in range(2)]
+        loss = frame_nt_xent(views[0], views[1], [[(i, i) for i in range(16)]] * 2)
+        nodes = ad.topo_order(loss)
+        ad.backward(loss)
+        interior = [n for n in nodes if n.parents]
+        assert len(interior) > 100
+        assert all(n.grad is None and n._backward is None for n in interior)
+        for p in weights.parameters():
+            assert p.grad is not None and p.grad.shape == p.shape
+        assert any(np.abs(p.grad).max() > 0 for p in weights.parameters())
+
+
 @pytest.fixture(scope="module")
 def corpus():
     return generate_synthetic_corpus(3, 8, 3, 16, seed=21)
@@ -289,6 +310,7 @@ class TestTrainLoop:
     @pytest.mark.parametrize("loss_kind,layers,batch,digest", [
         ("tan", 1, 4, "e10fd8457e6a2863"),
         ("tcc", 2, 2, "9c207075334724bb"),
+        ("tcn", 1, 4, "1051b5c7a9534c11"),
     ])
     def test_trained_weights_pinned(self, corpus, loss_kind, layers, batch, digest):
         # bit-level pin of the training arithmetic (forward kernels, backward,
