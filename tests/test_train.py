@@ -1,3 +1,4 @@
+import gc
 import weakref
 
 import numpy as np
@@ -264,6 +265,37 @@ class TestBackwardMemory:
             assert p.grad is not None and p.grad.shape == p.shape
         assert any(np.abs(p.grad).max() > 0 for p in weights.parameters())
 
+    def test_repeated_step_faults_in_no_pages(self):
+        # the buffers one step frees serve the next identical step: without
+        # fixed malloc thresholds each such step faulted in 10k+ pages
+        if not ad._keep_heap_mapped():
+            pytest.skip("no glibc mallopt")
+        resource = pytest.importorskip("resource")
+        from motiontok.tan import encode, init_weights, project
+        config = TanConfig(hidden_dim=64, encoder_layers=2, attention_heads=4,
+                           projection_dim=32, sequence_length=64)
+        weights = init_weights(config, joints=20, seed=0)
+        rng = np.random.default_rng(13)
+        clips = [rng.normal(size=(96, 60)) for _ in range(8)]
+        corr = [[(i, i) for i in range(96)]] * 8
+
+        def step():
+            views = [[ad.slice_tensor(project(encode(x[None], weights), weights), (0,))
+                      for x in clips] for _ in range(2)]
+            weights.zero_grad()
+            ad.backward(frame_nt_xent(views[0], views[1], corr))
+
+        faults = []
+        for _ in range(3):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            step()
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert faults[-1] < 200, faults
+
+    def test_malloc_environment_settings_win(self, monkeypatch):
+        monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "131072")
+        assert ad._keep_heap_mapped() is False
+
 
 @pytest.fixture(scope="module")
 def corpus():
@@ -300,6 +332,34 @@ class TestTrainLoop:
         monkeypatch.setattr(train_module, "frame_nt_xent", watched)
         train_tan(corpus, TINY_TAN, self._cfg(2))
         assert len(alive) == 6 and not any(alive)
+
+    def test_graphs_freed_without_the_cycle_collector(self, corpus, monkeypatch):
+        # train_tan pauses the collector, so reference counting alone must
+        # free every step's graph
+        from motiontok import train as train_module
+        original, during = train_module.frame_nt_xent, []
+
+        def watched(*args, **kwargs):
+            during.append(gc.isenabled())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(train_module, "frame_nt_xent", watched)
+        train_tan(corpus, TINY_TAN, self._cfg(1))
+        assert gc.isenabled() and during and not any(during)
+        gc.disable()
+        try:
+            gc.collect()
+            train_tan(corpus, TINY_TAN, self._cfg(2))
+            assert not gc.isenabled()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_training_run_returns_free_heap(self, corpus, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ad, "release_free_heap", lambda: calls.append(1))
+        train_tan(corpus, TINY_TAN, self._cfg(1))
+        assert calls == [1]
 
     def test_seeded_runs_bit_identical(self, corpus):
         _, h1 = train_tan(corpus, TINY_TAN, self._cfg(2))
