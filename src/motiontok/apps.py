@@ -188,6 +188,8 @@ def compose(library: InstanceLibrary, word_count: int, boundary_threshold: float
         raise ValueError("word_count must be >= 1")
     if blend_frames < 1:
         raise ValueError("blend_frames must be >= 1")
+    if not boundary_threshold > 0:
+        raise ValueError("boundary_threshold must be > 0")
     candidates = library.actons_with_instances()
     if not candidates:
         raise ValueError("instance library is empty")

@@ -36,9 +36,6 @@ class AugmentRanges:
             raise ValueError(f"speed_max must be >= 1, got {self.speed_max}")
 
 
-IDENTITY_RANGES = AugmentRanges(translation_range=0.0, rotation_range_deg=0.0, speed_max=1.0)
-
-
 @dataclass(frozen=True)
 class AugmentParams:
     translation: np.ndarray  # (3,)
@@ -51,10 +48,6 @@ class AugmentParams:
         object.__setattr__(self, "translation", t)
         if not self.speed > 0:
             raise ValueError(f"speed must be positive, got {self.speed}")
-
-    @classmethod
-    def identity(cls) -> "AugmentParams":
-        return cls(translation=np.zeros(3), rotation=0.0, speed=1.0)
 
 
 @dataclass(frozen=True)

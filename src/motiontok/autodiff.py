@@ -116,9 +116,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
-    def item(self) -> float:
-        return float(self.values)
-
     def zero_grad(self) -> None:
         if self.grad is not None:
             self.grad[...] = 0.0
@@ -220,27 +217,6 @@ def scalar_mul(a, c: float) -> Tensor:
             _accumulate(a, g * c)
 
     return _result(a.values * c, (a,), "scalar_mul", bwd)
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out_values = np.exp(a.values)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g * out_values)
-
-    return _result(out_values, (a,), "exp", bwd)
-
-
-def log(a) -> Tensor:
-    a = as_tensor(a)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g / a.values)
-
-    return _result(np.log(a.values), (a,), "log", bwd)
 
 
 def sqrt(a) -> Tensor:
@@ -582,29 +558,3 @@ def backward(loss: Tensor) -> None:
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
             node.grad = node._backward = None
-
-
-def grad_check(f, x: Tensor, eps: float = 1e-4) -> float:
-    """Max relative disagreement between backward() and central differences.
-
-    Relative error per coordinate: |analytic - numeric| divided by
-    max(1e-8, |analytic| + |numeric|).
-    """
-    x.zero_grad()
-    out = f(x)
-    backward(out)
-    analytic = x.grad.copy()
-
-    numeric = np.zeros_like(x.values)
-    with no_grad():
-        for i in range(x.values.size):
-            keep = x.values.flat[i]
-            x.values.flat[i] = keep + eps
-            f_plus = float(f(x).values)
-            x.values.flat[i] = keep - eps
-            f_minus = float(f(x).values)
-            x.values.flat[i] = keep
-            numeric.flat[i] = (f_plus - f_minus) / (2.0 * eps)
-
-    denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
-    return float(np.max(np.abs(analytic - numeric) / denom))

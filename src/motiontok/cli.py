@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .augment import AugmentRanges, make_view_pair
-from .data import (LabeledCorpus, SkeletonSequence, center_normalize, generate_synthetic_corpus,
-                   load_corpus, save_corpus, save_sequence)
+from .data import (LabeledCorpus, SkeletonSequence, generate_synthetic_corpus, load_corpus,
+                   save_corpus, save_sequence)
 # assign is not called here; it stays importable as cli.assign for callers that wrap it
 from .lexicon import (Lexicon, assign, build_lexicon, cluster_features, corpus_features,
                       load_lexicon, save_lexicon, segment, tokenize_corpus, tokenize_features,
@@ -30,6 +30,13 @@ from .apps import build_instance_library, compose, detect, learn_acton_class_map
 from .tan import (TanConfig, TanWeights, checkpoint_digest, embed_sequence,
                   load_checkpoint, save_checkpoint)
 from .train import TrainConfig, train_tan, write_history
+
+
+def _require(ok: bool, message: str) -> None:
+    """Option-record check: a rejected value raises ValueError when the config
+    is built, before a command reads any corpus or checkpoint."""
+    if not ok:
+        raise ValueError(message)
 
 
 @dataclass(frozen=True)
@@ -42,6 +49,14 @@ class SynthOptions:
     fps: float = 30.0
     pose_spread: float = 0.0
 
+    def __post_init__(self):
+        for name in ("primitives", "sequences", "primitives_per_sequence",
+                     "frames_per_primitive", "joints"):
+            value = getattr(self, name)
+            _require(value >= 1, f"synth {name} must be >= 1, got {value}")
+        _require(self.fps > 0, f"synth fps must be > 0, got {self.fps}")
+        _require(self.pose_spread >= 0, f"synth pose_spread must be >= 0, got {self.pose_spread}")
+
 
 @dataclass(frozen=True)
 class LexiconOptions:
@@ -52,8 +67,14 @@ class LexiconOptions:
     context_window: int | None = None  # None: the encoder's sequence_length
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"lexicon k must be >= 1, got {self.k}")
+        _require(self.k >= 1, f"lexicon k must be >= 1, got {self.k}")
+        _require(self.feature_space in ("projection", "hidden"),
+                 f"lexicon feature_space must be 'projection' or 'hidden', "
+                 f"got {self.feature_space!r}")
+        _require(self.max_iters >= 1, f"lexicon max_iters must be >= 1, got {self.max_iters}")
+        _require(self.tol >= 0, f"lexicon tol must be >= 0, got {self.tol}")
+        _require(self.context_window is None or self.context_window >= 1,
+                 f"lexicon context_window must be None or >= 1, got {self.context_window}")
 
 
 @dataclass(frozen=True)
@@ -63,6 +84,14 @@ class MetricOptions:
     eval_fraction: float = 0.2
     sweep_k: tuple[int, ...] = tuple(range(10, 151, 10))
 
+    def __post_init__(self):
+        _require(self.n_max >= 1, f"metrics n_max must be >= 1, got {self.n_max}")
+        _require(self.tau_pairs >= 1, f"metrics tau_pairs must be >= 1, got {self.tau_pairs}")
+        _require(0 < self.eval_fraction < 1,
+                 f"metrics eval_fraction must be in (0, 1), got {self.eval_fraction}")
+        _require(len(self.sweep_k) > 0 and all(k >= 1 for k in self.sweep_k),
+                 f"metrics sweep_k must be non-empty with every K >= 1, got {self.sweep_k}")
+
 
 @dataclass(frozen=True)
 class DetectionOptions:
@@ -70,6 +99,16 @@ class DetectionOptions:
     stride: int | None = None  # None: quarter of each scale
     nms_iou: float = 0.5
     map_theta: float = 0.3
+
+    def __post_init__(self):
+        _require(len(self.scales_seconds) > 0 and all(s > 0 for s in self.scales_seconds),
+                 f"detection scales_seconds must be non-empty and all > 0, "
+                 f"got {self.scales_seconds}")
+        _require(self.stride is None or self.stride >= 1,
+                 f"detection stride must be None or >= 1, got {self.stride}")
+        _require(0 < self.nms_iou <= 1, f"detection nms_iou must be in (0, 1], got {self.nms_iou}")
+        _require(0 < self.map_theta <= 1,
+                 f"detection map_theta must be in (0, 1], got {self.map_theta}")
 
 
 @dataclass(frozen=True)
@@ -79,8 +118,11 @@ class CompositionOptions:
     blend_frames: int = 5
 
     def __post_init__(self):
-        if self.words < 1:
-            raise ValueError(f"composition words must be >= 1, got {self.words}")
+        _require(self.words >= 1, f"composition words must be >= 1, got {self.words}")
+        _require(self.boundary_threshold > 0,
+                 f"composition boundary_threshold must be > 0, got {self.boundary_threshold}")
+        _require(self.blend_frames >= 1,
+                 f"composition blend_frames must be >= 1, got {self.blend_frames}")
 
 
 @dataclass(frozen=True)
@@ -188,11 +230,6 @@ def split_corpus(corpus: LabeledCorpus, eval_fraction: float = 0.2,
         primitive_count=corpus.primitive_count,
     )
     return make(0, cut), make(cut, n)
-
-
-def raw_embed(seq: SkeletonSequence) -> np.ndarray:
-    """Raw-coordinate baseline features: center-normalized flattened joints."""
-    return center_normalize(seq).flat()
 
 
 def alignment_tau(corpus: LabeledCorpus, ranges: AugmentRanges, pairs: int, seed: int,

@@ -227,14 +227,9 @@ def load_corpus(directory: str | Path) -> LabeledCorpus:
     )
 
 
-def center_normalize(seq: SkeletonSequence) -> SkeletonSequence:
-    """Shift every frame so the mean of all joints (the body center) sits at the origin."""
-    centered = seq.data - seq.data.mean(axis=1, keepdims=True)
-    return SkeletonSequence(data=centered, fps=seq.fps)
-
-
 def center_normalize_frames(frames: np.ndarray) -> np.ndarray:
-    """center_normalize for a bare (T, J, 3) array."""
+    """Shift every frame of a (T, J, 3) array so the mean of all joints (the
+    body center) sits at the origin."""
     frames = np.asarray(frames, dtype=np.float64)
     return frames - frames.mean(axis=1, keepdims=True)
 

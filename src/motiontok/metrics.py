@@ -1,6 +1,6 @@
 """Evaluation metrics: retrieval-based Kendall's Tau for temporal alignment,
-NMI for clustering quality, n-gram entropies of token streams, detection mAP,
-and correlation statistics between metric series.
+NMI for clustering quality, empirical n-gram entropies of token streams, and
+detection mAP, plus the report that `eval` writes.
 
 All entropies are in bits.
 """
@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .lexicon import TokenStream
 
@@ -127,58 +126,6 @@ def entropy_table(streams, n_max: int) -> list[tuple[int, float, float]]:
     return rows
 
 
-def entropy_monotonicity_check(streams, n_max: int, tol: float = 1e-9,
-                               ) -> tuple[bool, list[tuple[int, float, float]]]:
-    """Empirical F_N table plus whether it happens to be non-increasing.
-
-    On finite samples the conditional entropies can tick upward, so the flag
-    is descriptive; the theorem itself only holds for true source
-    distributions (see exact_block_entropies).
-    """
-    table = entropy_table(streams, n_max)
-    fs = [f for _, _, f in table]
-    monotone = all(fs[i + 1] <= fs[i] + tol for i in range(len(fs) - 1))
-    return monotone, table
-
-
-# --- exact entropies of first-order Markov sources -------------------------------
-
-def stationary_distribution(transition: np.ndarray) -> np.ndarray:
-    """Stationary row vector of a row-stochastic matrix."""
-    p = np.asarray(transition, dtype=np.float64)
-    m = p.shape[0]
-    a = np.vstack([p.T - np.eye(m), np.ones(m)])
-    b = np.concatenate([np.zeros(m), [1.0]])
-    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return np.clip(pi, 0.0, None) / pi.sum()
-
-
-def exact_block_entropies(initial: np.ndarray, transition: np.ndarray,
-                          n_max: int) -> list[tuple[int, float, float]]:
-    """(N, K_N, F_N) computed from the true distribution of a Markov source.
-
-    Block probabilities p(w_1..w_N) = initial[w_1] * prod transition[w_i, w_i+1]
-    are enumerated exhaustively; i.i.d. and deterministic-cycle sources are
-    the special cases of constant rows and permutation matrices.
-    """
-    initial = np.asarray(initial, dtype=np.float64)
-    transition = np.asarray(transition, dtype=np.float64)
-    m = initial.shape[0]
-    rows = []
-    k_prev = 0.0
-    probs = initial.copy()  # p over blocks of length n, flattened
-    for n in range(1, n_max + 1):
-        live = probs[probs > 0]
-        k_n = float(-(live * np.log2(live)).sum())
-        rows.append((n, k_n, k_n - k_prev))
-        k_prev = k_n
-        # extend every block by one symbol: p(w, s) = p(w) * P[last(w), s];
-        # blocks are flattened with the last symbol varying fastest
-        last = np.arange(probs.size) % m
-        probs = (probs.reshape(-1, 1) * transition[last]).reshape(-1)
-    return rows
-
-
 # --- action detection scoring -----------------------------------------------------
 
 def temporal_iou(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -240,20 +187,6 @@ def _all_point_ap(precision: np.ndarray, recall: np.ndarray) -> float:
     return float(((mrec[idx] - mrec[idx - 1]) * mprec[idx]).sum())
 
 
-def metric_correlation(series_a, series_b) -> tuple[float, float, float]:
-    """(|Pearson r|, Spearman rho, Kendall tau-b) between two metric series."""
-    a = np.asarray(series_a, dtype=np.float64)
-    b = np.asarray(series_b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1 or a.size < 3:
-        raise ValueError("series must be equal-length 1-d with at least 3 points")
-    if np.ptp(a) == 0 or np.ptp(b) == 0:
-        raise ValueError("correlation undefined for zero-variance series")
-    r = float(stats.pearsonr(a, b)[0])
-    rho = float(stats.spearmanr(a, b)[0])
-    tau = float(stats.kendalltau(a, b)[0])
-    return abs(r), rho, tau
-
-
 # --- report container --------------------------------------------------------------
 
 @dataclass
@@ -262,7 +195,6 @@ class MetricsReport:
     nmi: float | None = None
     f2: float | None = None
     entropy_rows: list[tuple[int, float, float]] = field(default_factory=list)
-    detection_map: float | None = None
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -270,12 +202,10 @@ class MetricsReport:
             raise ValueError(f"kendalls_tau out of range: {self.kendalls_tau}")
         if self.nmi is not None and not -1e-12 <= self.nmi <= 1.0 + 1e-12:
             raise ValueError(f"nmi out of range: {self.nmi}")
-        if self.detection_map is not None and not 0.0 <= self.detection_map <= 1.0:
-            raise ValueError(f"detection_map out of range: {self.detection_map}")
 
     def to_flat_text(self) -> str:
         lines = [f"# {k}={v}" for k, v in sorted(self.provenance.items())]
-        for name in ("kendalls_tau", "nmi", "f2", "detection_map"):
+        for name in ("kendalls_tau", "nmi", "f2"):
             value = getattr(self, name)
             if value is not None:
                 lines.append(f"{name}={value:.10g}")
@@ -290,7 +220,6 @@ class MetricsReport:
             "nmi": self.nmi,
             "f2": self.f2,
             "entropy_table": [list(r) for r in self.entropy_rows],
-            "detection_map": self.detection_map,
             "provenance": self.provenance,
         }, sort_keys=True)
 

@@ -18,25 +18,18 @@ from motiontok.cli import (
     corpus_detection_map,
     corpus_nmi,
     make_config,
-    raw_embed,
     split_corpus,
     tan_embed_fn,
     tokenize_threaded,
 )
 from motiontok.data import generate_synthetic_corpus
 from motiontok.lexicon import assign, build_lexicon, kmeans, tokenize_corpus
-from motiontok.metrics import (
-    detection_map,
-    exact_block_entropies,
-    kendalls_tau,
-    ngram_entropy,
-    nmi,
-    stationary_distribution,
-)
+from motiontok.metrics import detection_map, kendalls_tau, ngram_entropy, nmi
 from motiontok.tan import TanConfig, encode, init_weights, project
 from motiontok.train import frame_nt_xent, tcc_loss, tcn_loss, train_tan
 
 from test_autodiff import _catalog_cases, _param
+from testkit import exact_block_entropies, grad_check, raw_embed, stationary_distribution
 
 
 pytestmark = pytest.mark.slow
@@ -102,7 +95,7 @@ def test_criterion_1_gradient_integrity():
     worst = {}
     for name, fn, shape, kink in _catalog_cases():
         x = _param(shape, seed=101, avoid_kink=kink)
-        worst[f"op:{name}"] = ad.grad_check(fn, x, eps=1e-4)
+        worst[f"op:{name}"] = grad_check(fn, x, eps=1e-4)
 
     rng = np.random.default_rng(7)
 
@@ -120,17 +113,17 @@ def test_criterion_1_gradient_integrity():
                  ad.slice_tensor(v, (slice(4, 7),))]
         return frame_nt_xent(parts, vb, corr, mode="exclude_same_clip", tau=0.3)
 
-    worst["frame_nt_xent"] = ad.grad_check(
+    worst["frame_nt_xent"] = grad_check(
         nt_xent_probe, ad.parameter(rng.normal(size=(7, 5))), eps=1e-4)
 
     tcn_vb = Tensor(rng.normal(size=(14, 4)))
-    worst["tcn_loss"] = ad.grad_check(
+    worst["tcn_loss"] = grad_check(
         lambda t: tcn_loss(t, tcn_vb, anchors=3, rng=np.random.default_rng(3),
                            margin=1.0, pos_window=2, neg_multiplier=2),
         ad.parameter(rng.normal(size=(14, 4)) * 2.0), eps=1e-5)
 
     tcc_vb = Tensor(rng.normal(size=(5, 3)))
-    worst["tcc_loss"] = ad.grad_check(
+    worst["tcc_loss"] = grad_check(
         lambda t: tcc_loss(t, tcc_vb, tau_soft=0.5),
         ad.parameter(rng.normal(size=(4, 3))), eps=1e-4)
 
@@ -146,7 +139,7 @@ def test_criterion_1_gradient_integrity():
 
     for name in ("embed.fc1.w", "enc0.attn.q.w", "enc0.attn.v.w", "enc0.ln1.gamma",
                  "enc0.ffn.fc1.w", "enc0.ln2.beta", "proj.fc1.w", "proj.fc2.w"):
-        worst[f"model:{name}"] = ad.grad_check(model_probe, w.tensors[name], eps=1e-4)
+        worst[f"model:{name}"] = grad_check(model_probe, w.tensors[name], eps=1e-4)
 
     elapsed = time.time() - t0
     peak = max(worst.values())

@@ -179,6 +179,11 @@ class TestCompose:
         with pytest.raises(ValueError):
             compose(library, 0, 1.0, 3, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("threshold", [0.0, -1.0])
+    def test_boundary_threshold_validation(self, library, threshold):
+        with pytest.raises(ValueError, match="boundary_threshold"):
+            compose(library, 3, threshold, 3, np.random.default_rng(0))
+
 
 def _max_intra_instance_step(library) -> float:
     worst = 0.0

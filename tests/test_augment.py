@@ -4,13 +4,13 @@ import pytest
 from motiontok.augment import (
     AugmentParams,
     AugmentRanges,
-    IDENTITY_RANGES,
     apply,
     make_view_pair,
     match_frames,
     sample_params,
 )
 from motiontok.data import SkeletonSequence
+from testkit import IDENTITY_RANGES
 
 
 def _seq(t=8, j=3, seed=0):
@@ -55,7 +55,7 @@ class TestSampleParams:
 class TestApply:
     def test_identity_params_is_identity(self):
         seq = _seq()
-        out = apply(seq, AugmentParams.identity())
+        out = apply(seq, AugmentParams(translation=np.zeros(3), rotation=0.0, speed=1.0))
         assert np.array_equal(out.data, seq.data)
         assert out.fps == seq.fps
 

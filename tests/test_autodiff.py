@@ -5,6 +5,7 @@ import pytest
 
 from motiontok import autodiff as ad
 from motiontok.autodiff import ShapeError, Tensor
+from testkit import grad_check
 
 
 def _param(shape, seed, avoid_kink=None):
@@ -91,7 +92,7 @@ class TestBackwardStructure:
     def test_backward_deterministic(self):
         def run():
             x = ad.parameter(np.arange(6.0).reshape(2, 3) + 1)
-            y = ad.mean(ad.exp(ad.scalar_mul(ad.log(x), 0.5)))
+            y = ad.mean(ad.sqrt(ad.scalar_mul(ad.mul(x, x), 0.5)))
             ad.backward(y)
             return x.grad.copy()
 
@@ -122,7 +123,7 @@ class TestGradCheckOracle:
     def test_quadratic_tight(self):
         # central differences are exact to O(eps^2) for quadratics
         x = _param((4, 3), seed=5)
-        err = ad.grad_check(lambda t: ad.tensor_sum(ad.mul(t, t)), x, eps=1e-4)
+        err = grad_check(lambda t: ad.tensor_sum(ad.mul(t, t)), x, eps=1e-4)
         assert err < 1e-6
 
     def test_two_layer_perceptron(self):
@@ -139,11 +140,11 @@ class TestGradCheckOracle:
         # keep preactivations away from the ReLU kink
         while (np.abs(np.matmul(x.values, w1.values)) < 1e-3).any():
             x = ad.parameter(rng.normal(size=(3, 5)))
-        assert ad.grad_check(mlp, x, eps=1e-4) < 1e-4
+        assert grad_check(mlp, x, eps=1e-4) < 1e-4
 
     def test_constant_function(self):
         x = _param((3,), seed=9)
-        err = ad.grad_check(lambda t: Tensor(np.array(7.0)), x, eps=1e-4)
+        err = grad_check(lambda t: Tensor(np.array(7.0)), x, eps=1e-4)
         assert err == 0.0
 
 
@@ -175,9 +176,6 @@ def _catalog_cases():
             ad.transpose(x, (1, 0)), w((4, 3), 11))), (3, 4), None),
         ("reshape", lambda x: ad.tensor_sum(ad.mul(
             ad.reshape(x, (2, 6)), w((2, 6), 12))), (3, 4), None),
-        ("exp", lambda x: ad.tensor_sum(ad.mul(ad.exp(x), w(x.shape, 13))), (3, 3), None),
-        ("log", lambda x: ad.tensor_sum(ad.mul(
-            ad.log(ad.scalar_add(ad.mul(x, x), 1.0)), w(x.shape, 14))), (3, 3), None),
         ("sqrt", lambda x: ad.tensor_sum(ad.mul(
             ad.sqrt(ad.scalar_add(ad.mul(x, x), 0.5)), w(x.shape, 15))), (3, 3), None),
         ("relu", lambda x: ad.tensor_sum(ad.mul(ad.relu(x), w(x.shape, 16))),
@@ -194,7 +192,7 @@ def _catalog_cases():
         ("mean_full", lambda x: ad.mean(ad.mul(x, x)), (3, 4), None),
         ("l2_normalize", lambda x: ad.tensor_sum(ad.mul(
             ad.l2_normalize(x), w(x.shape, 21))), (3, 4), None),
-        ("dot_last", lambda x: ad.tensor_sum(ad.mul(ad.dot_last(x, ad.exp(x)),
+        ("dot_last", lambda x: ad.tensor_sum(ad.mul(ad.dot_last(x, ad.softmax(x, axis=-1)),
                                                     w((3,), 22))), (3, 4), None),
         ("add_bias", lambda x: ad.tensor_sum(ad.mul(
             ad.add_bias(x, Tensor(np.arange(4.0))), w(x.shape, 24))), (3, 4), None),
@@ -220,7 +218,7 @@ def _catalog_cases():
                          ids=[c[0] for c in _catalog_cases()])
 def test_catalog_op_grad_check(name, fn, shape, kink):
     x = _param(shape, seed=zlib.crc32(name.encode()), avoid_kink=kink)
-    assert ad.grad_check(fn, x, eps=1e-4) < 1e-4
+    assert grad_check(fn, x, eps=1e-4) < 1e-4
 
 
 class TestLinear:

@@ -42,6 +42,39 @@ TINY_OVERRIDES = {
 }
 
 
+# one case per option rule: (section, key, rejected value, message fragment)
+OPTION_RULES = [
+    ("synth", "primitives", 0, "primitives must be >= 1"),
+    ("synth", "sequences", 0, "sequences must be >= 1"),
+    ("synth", "primitives_per_sequence", 0, "primitives_per_sequence must be >= 1"),
+    ("synth", "frames_per_primitive", 0, "frames_per_primitive must be >= 1"),
+    ("synth", "joints", 0, "joints must be >= 1"),
+    ("synth", "fps", 0.0, "fps must be > 0"),
+    ("synth", "pose_spread", -0.1, "pose_spread must be >= 0"),
+    ("lexicon", "feature_space", "raw", "feature_space must be"),
+    ("lexicon", "max_iters", 0, "max_iters must be >= 1"),
+    ("lexicon", "tol", -1e-6, "tol must be >= 0"),
+    ("lexicon", "context_window", 0, "context_window must be None or >= 1"),
+    ("metrics", "n_max", 0, "n_max must be >= 1"),
+    ("metrics", "tau_pairs", 0, "tau_pairs must be >= 1"),
+    ("metrics", "eval_fraction", 0.0, "eval_fraction must be in"),
+    ("metrics", "eval_fraction", 1.0, "eval_fraction must be in"),
+    ("metrics", "eval_fraction", 1.5, "eval_fraction must be in"),
+    ("metrics", "sweep_k", [], "sweep_k must be non-empty"),
+    ("metrics", "sweep_k", [8, 0], "every K >= 1"),
+    ("detection", "scales_seconds", [], "scales_seconds must be non-empty"),
+    ("detection", "scales_seconds", [0.5, 0.0], "all > 0"),
+    ("detection", "stride", 0, "stride must be None or >= 1"),
+    ("detection", "nms_iou", 0.0, "nms_iou must be in"),
+    ("detection", "nms_iou", 1.5, "nms_iou must be in"),
+    ("detection", "map_theta", 0.0, "map_theta must be in"),
+    ("detection", "map_theta", 1.5, "map_theta must be in"),
+    ("composition", "boundary_threshold", 0.0, "boundary_threshold must be > 0"),
+    ("composition", "boundary_threshold", -1.0, "boundary_threshold must be > 0"),
+    ("composition", "blend_frames", 0, "blend_frames must be >= 1"),
+]
+
+
 def tiny_config(seed=0):
     return make_config(profile="desk", seed=seed, overrides=TINY_OVERRIDES)
 
@@ -97,6 +130,24 @@ class TestConfig:
         path.write_text(json.dumps({"seed": 7}))
         config = load_config(path, seed=9)
         assert config.seed == 9
+
+    @pytest.mark.parametrize("section,key,value,match", OPTION_RULES,
+                             ids=[f"{s}.{k}={v}".replace(" ", "") for s, k, v, _ in OPTION_RULES])
+    def test_option_rule_rejected(self, section, key, value, match):
+        with pytest.raises(ValueError, match=match):
+            make_config("desk", overrides={section: {key: value}})
+
+    def test_option_bounds_accepted(self):
+        config = make_config("desk", overrides={
+            "synth": {"pose_spread": 0.0},
+            "lexicon": {"feature_space": "hidden", "tol": 0.0, "max_iters": 1,
+                        "context_window": 1},
+            "metrics": {"n_max": 1, "tau_pairs": 1, "eval_fraction": 0.5, "sweep_k": [1]},
+            "detection": {"stride": 1, "nms_iou": 1.0, "map_theta": 1.0},
+            "composition": {"blend_frames": 1, "boundary_threshold": 1e-9},
+        })
+        assert config.lexicon.context_window == 1 and config.metrics.sweep_k == (1,)
+        assert make_config("paper").lexicon.context_window is None
 
 
 class TestSplit:
@@ -330,6 +381,22 @@ class TestCommands:
 
 
 class TestCliProcess:
+    def test_cli_never_imports_scipy(self):
+        # the package needs numpy alone; scipy would add ~1.4 s to every command
+        probe = ("import sys, motiontok.cli; "
+                 "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+        # -X importtime lists every module the command imports, on stderr
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "motiontok.cli",
+                               "--help"], capture_output=True, text=True)
+        assert proc.returncode == 0 and "usage: motiontok" in proc.stdout
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "motiontok.metrics" in imported  # cli itself runs as __main__
+        assert not [m for m in imported if m.split(".")[0] == "scipy"]
+
     def test_error_is_one_line_nonzero(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "motiontok.cli", "train",

@@ -7,7 +7,7 @@ from motiontok.data import (
     NonFiniteError,
     PayloadSizeError,
     SkeletonSequence,
-    center_normalize,
+    center_normalize_frames,
     generate_synthetic_corpus,
     load_corpus,
     load_sequence,
@@ -92,30 +92,27 @@ class TestSequenceFiles:
 
 class TestCenterNormalize:
     def test_hand_case(self):
-        seq = SkeletonSequence(data=np.array([[[1.0, 1, 1], [3, 1, 1]]]), fps=30.0)
-        out = center_normalize(seq)
-        np.testing.assert_allclose(out.data[0], [[-1, 0, 0], [1, 0, 0]], atol=1e-12)
+        out = center_normalize_frames(np.array([[[1.0, 1, 1], [3, 1, 1]]]))
+        np.testing.assert_allclose(out[0], [[-1, 0, 0], [1, 0, 0]], atol=1e-12)
 
     def test_already_centered_unchanged(self):
-        seq = SkeletonSequence(data=np.array([[[-1.0, 0, 0], [1, 0, 0]]]), fps=30.0)
-        np.testing.assert_allclose(center_normalize(seq).data, seq.data, atol=1e-12)
+        frames = np.array([[[-1.0, 0, 0], [1, 0, 0]]])
+        np.testing.assert_allclose(center_normalize_frames(frames), frames, atol=1e-12)
 
     def test_per_frame_independence_preserves_geometry(self):
         base = np.array([[0.0, 0, 0], [1, 2, 3], [4, 5, 6]])
         frames = np.stack([base + [10, 0, 0], base + [0, -5, 2]])
-        seq = SkeletonSequence(data=frames, fps=30.0)
-        out = center_normalize(seq)
+        out = center_normalize_frames(frames)
         for t in range(2):
-            assert np.abs(out.data[t].mean(axis=0)).max() < 1e-9
+            assert np.abs(out[t].mean(axis=0)).max() < 1e-9
             orig = np.linalg.norm(frames[t][:, None] - frames[t][None], axis=-1)
-            new = np.linalg.norm(out.data[t][:, None] - out.data[t][None], axis=-1)
+            new = np.linalg.norm(out[t][:, None] - out[t][None], axis=-1)
             np.testing.assert_allclose(new, orig, atol=1e-12)
 
     def test_idempotent(self):
-        seq = _seq(t=6, j=4, seed=3)
-        once = center_normalize(seq)
-        twice = center_normalize(once)
-        np.testing.assert_allclose(twice.data, once.data, atol=1e-9)
+        once = center_normalize_frames(_seq(t=6, j=4, seed=3).data)
+        twice = center_normalize_frames(once)
+        np.testing.assert_allclose(twice, once, atol=1e-9)
 
 
 class TestSyntheticCorpus:

@@ -7,15 +7,17 @@ from motiontok.lexicon import segment
 from motiontok.metrics import (
     MetricsReport,
     detection_map,
-    entropy_monotonicity_check,
     entropy_table,
-    exact_block_entropies,
     kendalls_tau,
-    metric_correlation,
     ngram_entropy,
     nmi,
-    stationary_distribution,
     temporal_iou,
+)
+from testkit import (
+    entropy_monotonicity_check,
+    exact_block_entropies,
+    metric_correlation,
+    stationary_distribution,
 )
 
 

@@ -15,6 +15,7 @@ from motiontok.tan import (
     save_checkpoint,
     weights_digest,
 )
+from testkit import grad_check
 
 TINY = TanConfig(hidden_dim=16, encoder_layers=1, attention_heads=2,
                  projection_dim=8, sequence_length=6)
@@ -152,7 +153,7 @@ class TestFullModelGradient:
                 v = project(encode(x, w), w)
                 return ad.tensor_sum(ad.mul(ad.mul(v, v), Tensor(weighting)))
 
-            errs[name] = ad.grad_check(probe, w.tensors[name], eps=1e-4)
+            errs[name] = grad_check(probe, w.tensors[name], eps=1e-4)
         worst = max(errs.values())
         assert worst < 1e-4, errs
 

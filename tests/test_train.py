@@ -18,6 +18,7 @@ from motiontok.train import (
     tcn_loss,
     train_tan,
 )
+from testkit import grad_check
 
 TINY_TAN = TanConfig(hidden_dim=16, encoder_layers=1, attention_heads=2,
                      projection_dim=8, sequence_length=12)
@@ -64,7 +65,7 @@ class TestFrameNtXent:
         e0 = np.array([1.0, 0.0])
         v = Tensor(np.stack([e0, -e0]))
         loss = frame_nt_xent([v], [v], [[(0, 0)]], mode=ALL_FRAMES, tau=1.0)
-        assert loss.item() == pytest.approx(np.log(1 + np.exp(-2.0)), abs=1e-12)
+        assert float(loss.values) == pytest.approx(np.log(1 + np.exp(-2.0)), abs=1e-12)
 
     def test_uniform_similarities_log1p_m(self):
         # all frames identical: every similarity equals 1, |D| = m
@@ -72,13 +73,13 @@ class TestFrameNtXent:
         v = Tensor(np.tile(_unit([1.0, 1.0]), (t, 1)))
         corr = [[(i, i) for i in range(t)]]
         loss = frame_nt_xent([v], [v], corr, mode=ALL_FRAMES, tau=0.7)
-        assert loss.item() == pytest.approx(np.log(1 + (t - 1)), abs=1e-12)
+        assert float(loss.values) == pytest.approx(np.log(1 + (t - 1)), abs=1e-12)
 
     def test_sharpening_limit(self):
         e0 = np.array([1.0, 0.0])
         v = Tensor(np.stack([e0, -e0]))
         loss = frame_nt_xent([v], [v], [[(0, 0)]], mode=ALL_FRAMES, tau=1e-3)
-        assert loss.item() == pytest.approx(0.0, abs=1e-12)
+        assert float(loss.values) == pytest.approx(0.0, abs=1e-12)
 
     def test_nonnegative_random(self):
         rng = np.random.default_rng(0)
@@ -87,7 +88,7 @@ class TestFrameNtXent:
             vb = Tensor(_unit(rng.normal(size=(4, 6))))
             corr = [[(i, i) for i in range(4)], [(0, 0), (2, 2)]]
             loss = frame_nt_xent([va, vb], [vb, va], corr, mode=ALL_FRAMES, tau=0.2)
-            assert loss.item() >= 0.0
+            assert float(loss.values) >= 0.0
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(1)
@@ -97,7 +98,7 @@ class TestFrameNtXent:
         loss_ab = frame_nt_xent(va, vb, corr, mode=EXCLUDE_SAME_CLIP, tau=0.3)
         corr_t = [[(b, a) for a, b in c] for c in corr]
         loss_ba = frame_nt_xent(vb, va, corr_t, mode=EXCLUDE_SAME_CLIP, tau=0.3)
-        assert loss_ab.item() == pytest.approx(loss_ba.item(), abs=1e-12)
+        assert float(loss_ab.values) == pytest.approx(float(loss_ba.values), abs=1e-12)
 
     def test_identical_clips_still_welldefined_in_exclude_mode(self):
         rng = np.random.default_rng(2)
@@ -105,7 +106,7 @@ class TestFrameNtXent:
         corr = [[(i, i) for i in range(4)]] * 2
         loss = frame_nt_xent([clip, clip], [clip, clip], corr,
                              mode=EXCLUDE_SAME_CLIP, tau=0.5)
-        assert np.isfinite(loss.item())
+        assert np.isfinite(float(loss.values))
 
     def test_single_clip_exclude_mode_rejected(self):
         v = Tensor(_unit(np.random.default_rng(3).normal(size=(3, 4))))
@@ -121,7 +122,7 @@ class TestFrameNtXent:
         # which strictly enlarges the softmax denominator
         l_full = frame_nt_xent([va], [vb_full], [[(0, 0)]], ALL_FRAMES, 0.5)
         l_trim = frame_nt_xent([va], [vb_trim], [[(0, 0)]], ALL_FRAMES, 0.5)
-        assert l_full.item() > l_trim.item()
+        assert float(l_full.values) > float(l_trim.values)
 
     def test_gradient_against_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -138,7 +139,7 @@ class TestFrameNtXent:
             return frame_nt_xent(parts, vb, corr, mode=EXCLUDE_SAME_CLIP, tau=0.3)
 
         x = ad.parameter(rng.normal(size=(7, 5)))
-        assert ad.grad_check(f, x, eps=1e-4) < 1e-4
+        assert grad_check(f, x, eps=1e-4) < 1e-4
 
 
 class TestLrSchedule:
@@ -183,7 +184,7 @@ class TestTcnLoss:
         rng = np.random.default_rng(0)
         loss = tcn_loss(v_a, v_b, anchors=4, rng=rng, margin=2.0,
                         pos_window=2, neg_multiplier=2)
-        assert loss.item() == pytest.approx(0.0, abs=1e-12)
+        assert float(loss.values) == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_case_term_three(self):
         # d(a, p) = 2 between the two anchor-view rows, every negative at d = 1
@@ -192,14 +193,14 @@ class TestTcnLoss:
         rng = np.random.default_rng(1)
         loss = tcn_loss(v_a, v_b, anchors=2, rng=rng, margin=2.0,
                         pos_window=2, neg_multiplier=3)
-        assert loss.item() == pytest.approx(3.0, abs=1e-12)
+        assert float(loss.values) == pytest.approx(3.0, abs=1e-12)
 
     def test_positive_equals_negative_gives_margin(self):
         v = Tensor(np.tile([0.3, -0.7], (10, 1)))
         rng = np.random.default_rng(2)
         loss = tcn_loss(v, v, anchors=3, rng=rng, margin=2.0,
                         pos_window=1, neg_multiplier=2)
-        assert loss.item() == pytest.approx(2.0, abs=1e-12)
+        assert float(loss.values) == pytest.approx(2.0, abs=1e-12)
 
     def test_too_short_for_exclusion_interval(self):
         v = Tensor(np.random.default_rng(3).normal(size=(4, 3)))
@@ -216,18 +217,18 @@ class TestTcnLoss:
                             margin=1.0, pos_window=2, neg_multiplier=2)
 
         x = ad.parameter(rng_data.normal(size=(14, 4)) * 2.0)
-        assert ad.grad_check(f, x, eps=1e-5) < 1e-4
+        assert grad_check(f, x, eps=1e-5) < 1e-4
 
 
 class TestTccLoss:
     def test_orthonormal_views_sharp_softmax(self):
         v = Tensor(np.eye(6))
         loss = tcc_loss(v, v, tau_soft=1e-3)
-        assert loss.item() == pytest.approx(0.0, abs=1e-9)
+        assert float(loss.values) == pytest.approx(0.0, abs=1e-9)
 
     def test_single_frame_zero(self):
         v = Tensor(np.array([[0.6, 0.8]]))
-        assert tcc_loss(v, v).item() == pytest.approx(0.0, abs=1e-12)
+        assert float(tcc_loss(v, v).values) == pytest.approx(0.0, abs=1e-12)
 
     def test_invariant_to_view_b_permutation(self):
         rng = np.random.default_rng(5)
@@ -235,14 +236,14 @@ class TestTccLoss:
         vb = _unit(rng.normal(size=(7, 4)))
         l1 = tcc_loss(v_a, Tensor(vb), tau_soft=0.2)
         l2 = tcc_loss(v_a, Tensor(vb[::-1].copy()), tau_soft=0.2)
-        assert l1.item() == pytest.approx(l2.item(), abs=1e-12)
+        assert float(l1.values) == pytest.approx(float(l2.values), abs=1e-12)
 
     def test_gradient(self):
         rng = np.random.default_rng(6)
         v_b = Tensor(rng.normal(size=(5, 3)))
         f = lambda t: tcc_loss(t, v_b, tau_soft=0.5)
         x = ad.parameter(rng.normal(size=(4, 3)))
-        assert ad.grad_check(f, x, eps=1e-4) < 1e-4
+        assert grad_check(f, x, eps=1e-4) < 1e-4
 
 
 class TestBackwardMemory:

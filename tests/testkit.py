@@ -1,0 +1,140 @@
+"""Test-only helpers: oracles, baselines and fixtures the tests check the
+package against. No command and no benchmark code uses them, so they live
+here rather than in `motiontok`.
+
+- `grad_check`: analytic gradients against central differences (criterion 1).
+- `stationary_distribution`, `exact_block_entropies`: exact block entropies
+  of Markov sources, the oracle of criterion 3.
+- `entropy_monotonicity_check`: an empirical F_N table and its trend.
+- `metric_correlation`: Pearson, Spearman and Kendall tau-b in numpy.
+- `raw_embed`: the raw-coordinate baseline of criteria 4-6.
+- `IDENTITY_RANGES`: augmentation ranges that leave a clip unchanged.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from motiontok import autodiff as ad
+from motiontok.augment import AugmentRanges
+from motiontok.data import SkeletonSequence, center_normalize_frames
+from motiontok.metrics import entropy_table
+
+IDENTITY_RANGES = AugmentRanges(translation_range=0.0, rotation_range_deg=0.0, speed_max=1.0)
+
+
+def grad_check(f, x: ad.Tensor, eps: float = 1e-4) -> float:
+    """Max relative disagreement between backward() and central differences.
+
+    Relative error per coordinate: |analytic - numeric| divided by
+    max(1e-8, |analytic| + |numeric|).
+    """
+    x.zero_grad()
+    out = f(x)
+    ad.backward(out)
+    analytic = x.grad.copy()
+
+    numeric = np.zeros_like(x.values)
+    with ad.no_grad():
+        for i in range(x.values.size):
+            keep = x.values.flat[i]
+            x.values.flat[i] = keep + eps
+            f_plus = float(f(x).values)
+            x.values.flat[i] = keep - eps
+            f_minus = float(f(x).values)
+            x.values.flat[i] = keep
+            numeric.flat[i] = (f_plus - f_minus) / (2.0 * eps)
+
+    denom = np.maximum(1e-8, np.abs(analytic) + np.abs(numeric))
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def raw_embed(seq: SkeletonSequence) -> np.ndarray:
+    """Raw-coordinate baseline features: center-normalized flattened joints."""
+    return center_normalize_frames(seq.data).reshape(seq.frames, 3 * seq.joints)
+
+
+# --- entropies ----------------------------------------------------------------------
+
+def entropy_monotonicity_check(streams, n_max: int, tol: float = 1e-9,
+                               ) -> tuple[bool, list[tuple[int, float, float]]]:
+    """Empirical F_N table plus whether it happens to be non-increasing.
+
+    On finite samples the conditional entropies can tick upward, so the flag
+    is descriptive; the theorem itself only holds for true source
+    distributions (see exact_block_entropies).
+    """
+    table = entropy_table(streams, n_max)
+    fs = [f for _, _, f in table]
+    monotone = all(fs[i + 1] <= fs[i] + tol for i in range(len(fs) - 1))
+    return monotone, table
+
+
+def stationary_distribution(transition: np.ndarray) -> np.ndarray:
+    """Stationary row vector of a row-stochastic matrix."""
+    p = np.asarray(transition, dtype=np.float64)
+    m = p.shape[0]
+    a = np.vstack([p.T - np.eye(m), np.ones(m)])
+    b = np.concatenate([np.zeros(m), [1.0]])
+    pi, *_ = np.linalg.lstsq(a, b, rcond=None)
+    return np.clip(pi, 0.0, None) / pi.sum()
+
+
+def exact_block_entropies(initial: np.ndarray, transition: np.ndarray,
+                          n_max: int) -> list[tuple[int, float, float]]:
+    """(N, K_N, F_N) computed from the true distribution of a Markov source.
+
+    Block probabilities p(w_1..w_N) = initial[w_1] * prod transition[w_i, w_i+1]
+    are enumerated exhaustively; i.i.d. and deterministic-cycle sources are
+    the special cases of constant rows and permutation matrices.
+    """
+    initial = np.asarray(initial, dtype=np.float64)
+    transition = np.asarray(transition, dtype=np.float64)
+    m = initial.shape[0]
+    rows = []
+    k_prev = 0.0
+    probs = initial.copy()  # p over blocks of length n, flattened
+    for n in range(1, n_max + 1):
+        live = probs[probs > 0]
+        k_n = float(-(live * np.log2(live)).sum())
+        rows.append((n, k_n, k_n - k_prev))
+        k_prev = k_n
+        # extend every block by one symbol: p(w, s) = p(w) * P[last(w), s];
+        # blocks are flattened with the last symbol varying fastest
+        last = np.arange(probs.size) % m
+        probs = (probs.reshape(-1, 1) * transition[last]).reshape(-1)
+    return rows
+
+
+# --- correlations -------------------------------------------------------------------
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of the ranks they span."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    group = np.repeat(np.arange(starts.size), ends - starts)
+    ranks = np.empty(x.size)
+    ranks[order] = ((starts + ends + 1) / 2.0)[group]
+    return ranks
+
+
+def metric_correlation(series_a, series_b) -> tuple[float, float, float]:
+    """(|Pearson r|, Spearman rho, Kendall tau-b) between two metric series.
+
+    Spearman rho is the Pearson correlation of average ranks; tau-b is
+    sum(sa * sb) / sqrt(sum(sa^2) * sum(sb^2)) over the pairwise sign matrices,
+    which leaves tied pairs out of each side's count.
+    """
+    a = np.asarray(series_a, dtype=np.float64)
+    b = np.asarray(series_b, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1 or a.size < 3:
+        raise ValueError("series must be equal-length 1-d with at least 3 points")
+    if np.ptp(a) == 0 or np.ptp(b) == 0:
+        raise ValueError("correlation undefined for zero-variance series")
+    r = float(np.corrcoef(a, b)[0, 1])
+    rho = float(np.corrcoef(_average_ranks(a), _average_ranks(b))[0, 1])
+    sign_a = np.sign(a[:, None] - a[None, :])
+    sign_b = np.sign(b[:, None] - b[None, :])
+    tau = float((sign_a * sign_b).sum() / np.sqrt((sign_a ** 2).sum() * (sign_b ** 2).sum()))
+    return abs(r), rho, tau
