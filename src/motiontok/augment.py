@@ -27,7 +27,6 @@ class AugmentRanges:
     translation_range: float = 0.2  # meters per horizontal axis
     rotation_range_deg: float = 18.0
     speed_max: float = 2.0  # >= 1; draws land in [1/speed_max, speed_max]
-    include_z_translation: bool = False
 
     def __post_init__(self):
         if self.translation_range < 0 or self.rotation_range_deg < 0:
@@ -67,12 +66,11 @@ def sample_params(rng: np.random.Generator, ranges: AugmentRanges) -> AugmentPar
     r = ranges.translation_range
     tx = rng.uniform(-r, r)
     ty = rng.uniform(-r, r)
-    tz = rng.uniform(-r, r) if ranges.include_z_translation else 0.0
     rot = np.deg2rad(rng.uniform(-ranges.rotation_range_deg, ranges.rotation_range_deg))
     speed = rng.uniform(1.0, ranges.speed_max)
     if rng.random() < 0.5:
         speed = 1.0 / speed
-    return AugmentParams(translation=np.array([tx, ty, tz]), rotation=rot, speed=speed)
+    return AugmentParams(translation=np.array([tx, ty, 0.0]), rotation=rot, speed=speed)
 
 
 def _round_half_up(x: float) -> int:

@@ -6,6 +6,12 @@ and accumulates exact analytic gradients. There is no implicit broadcasting:
 element-wise ops demand identical shapes, and the only shape-bending ops are
 the ones defined here (matmul, linear, add_bias, reductions, reshape, ...).
 
+The forward ops (linear, relu, add, matmul, transpose, reshape, scalar_mul,
+softmax, layer_norm, l2_normalize) also run graph-free: with no Tensor operand
+they return the same values, by the same numpy operations, as a plain
+np.ndarray and record nothing. Inference runs the encoder that way; Tensor
+operands give a Tensor, under `no_grad` too.
+
 Memory: parameters (leaves that require grad) hold an eager `.grad`, which
 the optimizer reads. An interior node gets its gradient buffer on the first
 accumulation into it, and `backward` drops that buffer and the node's closure,
@@ -158,7 +164,10 @@ def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
 
 # --- element-wise and scalar ops -------------------------------------------
 
-def add(a, b) -> Tensor:
+def add(a, b) -> Tensor | np.ndarray:
+    if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
+        _same_shape("add", a, b)
+        return a + b
     a, b = as_tensor(a), as_tensor(b)
     _same_shape("add", a, b)
 
@@ -208,9 +217,10 @@ def scalar_add(a, c: float) -> Tensor:
     return _result(a.values + c, (a,), "scalar_add", bwd)
 
 
-def scalar_mul(a, c: float) -> Tensor:
-    a = as_tensor(a)
+def scalar_mul(a, c: float) -> Tensor | np.ndarray:
     c = float(c)
+    if not isinstance(a, Tensor):
+        return a * c
 
     def bwd(g):
         if a.requires_grad:
@@ -230,26 +240,30 @@ def sqrt(a) -> Tensor:
     return _result(out_values, (a,), "sqrt", bwd)
 
 
-def relu(a) -> Tensor:
-    a = as_tensor(a)
-    mask = a.values > 0.0
+def relu(a) -> Tensor | np.ndarray:
+    if not isinstance(a, Tensor):
+        return np.maximum(a, 0.0)
 
     def bwd(g):
         if a.requires_grad:
-            _accumulate(a, g * mask)
+            _accumulate(a, g * (a.values > 0.0))
 
-    return _result(a.values * mask, (a,), "relu", bwd)
+    return _result(np.maximum(a.values, 0.0), (a,), "relu", bwd)
 
 
 # --- shape ops ---------------------------------------------------------------
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b) -> Tensor | np.ndarray:
     """2D @ 2D, or stacked matmul on equal leading dimensions."""
-    a, b = as_tensor(a), as_tensor(b)
-    if a.values.ndim < 2 or b.values.ndim < 2 or a.values.ndim != b.values.ndim:
+    graph = isinstance(a, Tensor) or isinstance(b, Tensor)
+    if graph:
+        a, b = as_tensor(a), as_tensor(b)
+    if len(a.shape) < 2 or len(a.shape) != len(b.shape):
         raise ShapeError(f"matmul: ranks {a.shape} @ {b.shape} unsupported")
     if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: shapes {a.shape} @ {b.shape} incompatible")
+    if not graph:
+        return np.matmul(a, b)
 
     def bwd(g):
         if a.requires_grad:
@@ -260,22 +274,23 @@ def matmul(a, b) -> Tensor:
     return _result(np.matmul(a.values, b.values), (a, b), "matmul", bwd)
 
 
-def linear_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(..., din) @ (din, dout) + bias on plain arrays, as one 2-D product
-    over all rows; the forward of `linear`."""
-    out = np.matmul(x.reshape(-1, w.shape[0]), w)
-    out += b
-    return out.reshape(*x.shape[:-1], w.shape[1])
-
-
-def linear(x, w, b) -> Tensor:
+def linear(x, w, b) -> Tensor | np.ndarray:
     """Affine map of the last axis, x (..., din) @ w (din, dout) + b (dout,),
-    as one node. Forward and backward run the numpy operations of reshape ->
-    matmul -> add_bias -> reshape in the same order, so the bits agree."""
-    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
-    if (w.values.ndim != 2 or b.shape != (w.shape[1],) or x.values.ndim < 1
+    as one node and one 2-D product over all rows. Forward and backward run
+    the numpy operations of reshape -> matmul -> add_bias -> reshape in the
+    same order, so the bits agree."""
+    graph = isinstance(x, Tensor) or isinstance(w, Tensor) or isinstance(b, Tensor)
+    if graph:
+        x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if (len(w.shape) != 2 or b.shape != (w.shape[1],) or len(x.shape) < 1
             or x.shape[-1] != w.shape[0]):
         raise ShapeError(f"linear: {x.shape} @ {w.shape} + {b.shape}")
+    xv, wv, bv = (x.values, w.values, b.values) if graph else (x, w, b)
+    out = np.matmul(xv.reshape(-1, wv.shape[0]), wv)
+    out += bv
+    out = out.reshape(*x.shape[:-1], w.shape[1])
+    if not graph:
+        return out
 
     def bwd(g):
         g2 = g.reshape(-1, w.shape[1])
@@ -286,11 +301,12 @@ def linear(x, w, b) -> Tensor:
         if x.requires_grad:
             _accumulate(x, np.matmul(g2, w.values.T).reshape(x.shape))
 
-    return _result(linear_forward(x.values, w.values, b.values), (x, w, b), "linear", bwd)
+    return _result(out, (x, w, b), "linear", bwd)
 
 
-def transpose(a, axes: tuple[int, ...] | None = None) -> Tensor:
-    a = as_tensor(a)
+def transpose(a, axes: tuple[int, ...] | None = None) -> Tensor | np.ndarray:
+    if not isinstance(a, Tensor):
+        return np.transpose(a, axes)
     if axes is None:
         axes = tuple(reversed(range(a.values.ndim)))
     inverse = tuple(np.argsort(axes))
@@ -302,8 +318,9 @@ def transpose(a, axes: tuple[int, ...] | None = None) -> Tensor:
     return _result(np.transpose(a.values, axes), (a,), "transpose", bwd)
 
 
-def reshape(a, shape: tuple[int, ...]) -> Tensor:
-    a = as_tensor(a)
+def reshape(a, shape: tuple[int, ...]) -> Tensor | np.ndarray:
+    if not isinstance(a, Tensor):
+        return a.reshape(shape)
     old = a.shape
 
     def bwd(g):
@@ -404,15 +421,13 @@ def mean(a, axis: int | None = None) -> Tensor:
 
 # --- normalization and similarity ops ----------------------------------------
 
-def softmax_forward(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Max-shifted softmax of a plain array; the forward of `softmax`."""
+def softmax(a, axis: int = -1) -> Tensor | np.ndarray:
+    """Max-shifted softmax along `axis`."""
+    x = a.values if isinstance(a, Tensor) else a
     e = np.exp(x - x.max(axis=axis, keepdims=True))
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def softmax(a, axis: int = -1) -> Tensor:
-    a = as_tensor(a)
-    out_values = softmax_forward(a.values, axis)
+    out_values = e / e.sum(axis=axis, keepdims=True)
+    if not isinstance(a, Tensor):
+        return out_values
 
     def bwd(g):
         if a.requires_grad:
@@ -446,26 +461,25 @@ def masked_logsumexp(a, mask: np.ndarray, axis: int = -1) -> Tensor:
     return _result(out_values, (a,), "masked_logsumexp", bwd)
 
 
-def layer_norm_forward(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-                       eps: float = 1e-5) -> tuple[np.ndarray, tuple]:
-    """Forward of `layer_norm` on plain arrays: (output, (xhat, inv, active)),
-    the second part being what the backward pass reuses."""
+def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor | np.ndarray:
+    """Normalize over the last axis to mean 0 / variance 1, then apply the
+    per-feature affine. The variance is floored at eps (not shifted by it), so
+    non-degenerate rows come out with variance exactly 1."""
+    graph = isinstance(a, Tensor) or isinstance(gamma, Tensor) or isinstance(beta, Tensor)
+    if graph:
+        a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
+    d = a.shape[-1]
+    if gamma.shape != (d,) or beta.shape != (d,):
+        raise ShapeError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} vs features {d}")
+    x, gv, bv = (a.values, gamma.values, beta.values) if graph else (a, gamma, beta)
     xc = x - x.mean(axis=-1, keepdims=True)
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(np.maximum(var, eps))
     xhat = xc * inv
-    return xhat * gamma + beta, (xhat, inv, var > eps)
-
-
-def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis to mean 0 / variance 1, then apply the
-    per-feature affine. The variance is floored at eps (not shifted by it), so
-    non-degenerate rows come out with variance exactly 1."""
-    a, gamma, beta = as_tensor(a), as_tensor(gamma), as_tensor(beta)
-    d = a.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
-        raise ShapeError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} vs features {d}")
-    out_values, (xhat, inv, active) = layer_norm_forward(a.values, gamma.values, beta.values, eps)
+    out_values = xhat * gv + bv
+    if not graph:
+        return out_values
+    active = var > eps
 
     def bwd(g):
         if gamma.requires_grad:
@@ -481,18 +495,15 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor:
     return _result(out_values, (a, gamma, beta), "layer_norm", bwd)
 
 
-def l2_normalize_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward of `l2_normalize` on a plain array: (unit rows, their norms)."""
+def l2_normalize(a) -> Tensor | np.ndarray:
+    """Scale each vector along the last axis to unit L2 norm."""
+    x = a.values if isinstance(a, Tensor) else a
     norm = np.sqrt((x * x).sum(axis=-1, keepdims=True))
     if (norm < 1e-12).any():
         raise ValueError("l2_normalize: degenerate vector with norm < 1e-12")
-    return x / norm, norm
-
-
-def l2_normalize(a) -> Tensor:
-    """Scale each vector along the last axis to unit L2 norm."""
-    a = as_tensor(a)
-    out_values, norm = l2_normalize_forward(a.values)
+    out_values = x / norm
+    if not isinstance(a, Tensor):
+        return out_values
 
     def bwd(g):
         if a.requires_grad:

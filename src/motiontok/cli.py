@@ -232,6 +232,15 @@ def split_corpus(corpus: LabeledCorpus, eval_fraction: float = 0.2,
     return make(0, cut), make(cut, n)
 
 
+def _scored_split(corpus: LabeledCorpus, eval_fraction: float, command: str,
+                  ) -> tuple[LabeledCorpus, LabeledCorpus]:
+    """split_corpus, refusing a corpus too small for a non-empty eval split."""
+    if len(corpus.sequences) < 2:
+        raise ValueError(f"{command} needs a corpus of at least 2 sequences (train and eval "
+                         f"splits), got {len(corpus.sequences)}")
+    return split_corpus(corpus, eval_fraction)
+
+
 def alignment_tau(corpus: LabeledCorpus, ranges: AugmentRanges, pairs: int, seed: int,
                   embed_fn, crop_len: int | None = None) -> float:
     """Mean Kendall's Tau over speed-warped view pairs of corpus sequences.
@@ -394,7 +403,7 @@ def cmd_tokenize(config: PipelineConfig, corpus_dir: Path, ckpt: Path, lex_path:
 def cmd_eval(config: PipelineConfig, corpus_dir: Path, ckpt: Path, lex_path: Path,
              out_dir: Path) -> MetricsReport:
     corpus = load_corpus(corpus_dir)
-    _, eval_split = split_corpus(corpus, config.metrics.eval_fraction)
+    _, eval_split = _scored_split(corpus, config.metrics.eval_fraction, "eval")
     weights, lexicon = _load_guarded(ckpt, lex_path)
     report = evaluate(eval_split, weights, lexicon, config, config.threads)
     report.save(out_dir)
@@ -431,7 +440,7 @@ def corpus_detection_map(eval_split: LabeledCorpus, weights: TanWeights,
 def cmd_detect(config: PipelineConfig, corpus_dir: Path, ckpt: Path, lex_path: Path,
                out_path: Path) -> float:
     corpus = load_corpus(corpus_dir)
-    train_split, eval_split = split_corpus(corpus, config.metrics.eval_fraction)
+    train_split, eval_split = _scored_split(corpus, config.metrics.eval_fraction, "detect")
     weights, lexicon = _load_guarded(ckpt, lex_path)
     _, train_actons = tokenize_threaded(train_split, weights, lexicon, config.threads)
     cmap = learn_acton_class_map(train_actons, train_split.frame_labels, lexicon.k)
@@ -472,7 +481,7 @@ def cmd_compose(config: PipelineConfig, corpus_dir: Path, ckpt: Path, lex_path: 
 def cmd_sweep_k(config: PipelineConfig, corpus_dir: Path, ckpt: Path,
                 out_path: Path) -> Path:
     corpus = load_corpus(corpus_dir)
-    train_split, eval_split = split_corpus(corpus, config.metrics.eval_fraction)
+    train_split, eval_split = _scored_split(corpus, config.metrics.eval_fraction, "sweep-k")
     weights = load_checkpoint(ckpt)
     settings = _lexicon_settings(config, checkpoint_digest(ckpt))
     # embed each split once; every K clusters and tokenizes the same features

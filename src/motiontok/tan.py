@@ -37,10 +37,6 @@ class TanConfig:
         if self.ffn_dim is None:
             object.__setattr__(self, "ffn_dim", 2 * self.hidden_dim)
 
-    @property
-    def head_dim(self) -> int:
-        return self.hidden_dim // self.attention_heads
-
 
 @dataclass
 class TanWeights:
@@ -112,25 +108,46 @@ def positional_encoding(length: int, dim: int) -> np.ndarray:
     return table
 
 
-def _attention(x: Tensor, w: TanWeights, layer: int, attn_sink: list | None) -> Tensor:
-    """Multi-head self-attention with the heads folded into one batched
-    product, the layout `_attend` uses; attn_sink receives one (B, T, T)
-    weight array per head."""
-    t = w.tensors
-    bsz, length, h = x.shape
-    heads, dh = w.config.attention_heads, w.config.head_dim
+# --- the encoder ---------------------------------------------------------------
+# Each piece is written once over the autodiff ops: on the Tensors of
+# `TanWeights.tensors` it builds the training graph, on their `.values` arrays
+# the same ops run graph-free (see autodiff), which is inference.
 
-    def split(proj: str) -> Tensor:  # (B, T, H*dh) -> (B, H, T, dh)
-        a = ad.linear(x, t[f"enc{layer}.attn.{proj}.w"], t[f"enc{layer}.attn.{proj}.b"])
-        return ad.transpose(ad.reshape(a, (bsz, length, heads, dh)), (0, 2, 1, 3))
 
-    q, k, v = split("q"), split("k"), split("v")
-    scores = ad.scalar_mul(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+def _dense(x, p: dict, name: str):
+    """The linear layer `name` of p applied to x (..., din)."""
+    return ad.linear(x, p[name + ".w"], p[name + ".b"])
+
+
+def _mlp(x, p: dict, name: str):
+    """linear -> relu -> linear: the embedding MLP, an FFN or the projection head."""
+    return _dense(ad.relu(_dense(x, p, name + ".fc1")), p, name + ".fc2")
+
+
+def _attend(q, k, v, heads: int, attn_sink: list | None):
+    """Scaled dot-product attention of q (n, r, h) over k, v (n, L, h), with
+    the heads folded into one batched product; returns (n, r, h). attn_sink
+    (Tensor operands only) receives one (n, r, L) weight array per head."""
+    n, r, h = q.shape
+    dh = h // heads
+    split = lambda a: ad.transpose(ad.reshape(a, (n, -1, heads, dh)), (0, 2, 1, 3))
+    scores = ad.scalar_mul(ad.matmul(split(q), ad.transpose(split(k), (0, 1, 3, 2))),
+                           1.0 / np.sqrt(dh))
     attn = ad.softmax(scores, axis=-1)
     if attn_sink is not None:
         attn_sink.extend(np.moveaxis(attn.values, 1, 0))
-    ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (bsz, length, h))
-    return ad.linear(ctx, t[f"enc{layer}.attn.o.w"], t[f"enc{layer}.attn.o.b"])
+    return ad.reshape(ad.transpose(ad.matmul(attn, split(v)), (0, 2, 1, 3)), (n, r, h))
+
+
+def _layer(x_rows, q, k, v, p: dict, i: int, heads: int, attn_sink: list | None = None):
+    """Post-norm encoder layer i for the rows x_rows (n, r, h), whose queries
+    q (n, r, h) attend over the keys k and values v (n, L, h) of all L slots."""
+    pre = f"enc{i}."
+    ctx = _attend(q, k, v, heads, attn_sink)
+    x = ad.layer_norm(ad.add(x_rows, _dense(ctx, p, pre + "attn.o")),
+                      p[pre + "ln1.gamma"], p[pre + "ln1.beta"])
+    return ad.layer_norm(ad.add(x, _mlp(x, p, pre + "ffn")),
+                         p[pre + "ln2.gamma"], p[pre + "ln2.beta"])
 
 
 def encode(x, w: TanWeights, *, attn_sink: list | None = None) -> Tensor:
@@ -150,56 +167,26 @@ def encode(x, w: TanWeights, *, attn_sink: list | None = None) -> Tensor:
             f"encode: input feature dim {x.shape[2]} does not match 3*J = {3 * w.joints}"
         )
     t = w.tensors
-    h = ad.linear(x, t["embed.fc1.w"], t["embed.fc1.b"])
-    h = ad.relu(h)
-    h = ad.linear(h, t["embed.fc2.w"], t["embed.fc2.b"])
+    h = _mlp(x, t, "embed")
     pe = positional_encoding(x.shape[1], w.config.hidden_dim)
     h = ad.add(h, Tensor(np.broadcast_to(pe, h.shape).copy()))
     for i in range(w.config.encoder_layers):
-        attn = _attention(h, w, i, attn_sink)
-        h = ad.layer_norm(ad.add(h, attn), t[f"enc{i}.ln1.gamma"], t[f"enc{i}.ln1.beta"])
-        ff = ad.linear(h, t[f"enc{i}.ffn.fc1.w"], t[f"enc{i}.ffn.fc1.b"])
-        ff = ad.relu(ff)
-        ff = ad.linear(ff, t[f"enc{i}.ffn.fc2.w"], t[f"enc{i}.ffn.fc2.b"])
-        h = ad.layer_norm(ad.add(h, ff), t[f"enc{i}.ln2.gamma"], t[f"enc{i}.ln2.beta"])
+        q, k, v = (_dense(h, t, f"enc{i}.attn.{c}") for c in "qkv")
+        h = _layer(h, q, k, v, t, i, w.config.attention_heads, attn_sink)
     return h
 
 
 def project(z: Tensor, w: TanWeights) -> Tensor:
     """Map hidden features onto the unit sphere in projection space."""
-    t = w.tensors
-    h = ad.linear(z, t["proj.fc1.w"], t["proj.fc1.b"])
-    h = ad.relu(h)
-    h = ad.linear(h, t["proj.fc2.w"], t["proj.fc2.b"])
-    return ad.l2_normalize(h)
+    return ad.l2_normalize(_mlp(z, w.tensors, "proj"))
 
 
-# --- graph-free inference -------------------------------------------------------
-#
-# Plain-numpy kernels over the raw weight arrays; they build no Tensor. Layer
-# norm, softmax and the unit-sphere normalization are the forwards the autodiff
-# ops run, so training and inference share that math.
+# --- inference ---------------------------------------------------------------
 
 # Windows encoded per batch in windowed mode. It bounds the per-window buffers
 # to _CHUNK x window rows; at desk size 32 ran faster than 96 or one batch of
 # all windows.
 _CHUNK = 32
-
-
-def _linear(x: np.ndarray, p: dict, name: str) -> np.ndarray:
-    """The layer `name` applied to x (..., din): the forward of `ad.linear`."""
-    return ad.linear_forward(x, p[name + ".w"], p[name + ".b"])
-
-
-def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.ndarray:
-    """Scaled dot-product attention of q (n, r, h) over k, v (n, L, h), with
-    the heads folded into one batched product; returns (n, r, h)."""
-    n, r, h = q.shape
-    dh = h // heads
-    split = lambda a: a.reshape(n, -1, heads, dh).transpose(0, 2, 1, 3)
-    scores = (split(q) @ split(k).transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh))
-    ctx = ad.softmax_forward(scores) @ split(v)
-    return ctx.transpose(0, 2, 1, 3).reshape(n, r, h)
 
 
 def _encode_windows(e: np.ndarray, pe: np.ndarray, layer0: dict | None, frames: np.ndarray,
@@ -220,7 +207,6 @@ def _encode_windows(e: np.ndarray, pe: np.ndarray, layer0: dict | None, frames: 
     last = config.encoder_layers - 1
     x = None if layer0 else e[frames] + pe
     for i in range(config.encoder_layers):
-        pre = f"enc{i}."
         rows = keep if i == last else slots
         if x is None:
             rows_f = np.take_along_axis(frames, rows, axis=1)
@@ -230,13 +216,9 @@ def _encode_windows(e: np.ndarray, pe: np.ndarray, layer0: dict | None, frames: 
             k, v = gather("k", frames, slots), gather("v", frames, slots)
         else:
             x_rows = x if rows is slots else np.take_along_axis(x, rows[..., None], axis=1)
-            q = _linear(x_rows, p, pre + "attn.q")
-            k, v = _linear(x, p, pre + "attn.k"), _linear(x, p, pre + "attn.v")
-        ctx = _attend(q, k, v, config.attention_heads)
-        x, _ = ad.layer_norm_forward(x_rows + _linear(ctx, p, pre + "attn.o"),
-                                     p[pre + "ln1.gamma"], p[pre + "ln1.beta"])
-        ff = _linear(np.maximum(_linear(x, p, pre + "ffn.fc1"), 0.0), p, pre + "ffn.fc2")
-        x, _ = ad.layer_norm_forward(x + ff, p[pre + "ln2.gamma"], p[pre + "ln2.beta"])
+            q = _dense(x_rows, p, f"enc{i}.attn.q")
+            k, v = _dense(x, p, f"enc{i}.attn.k"), _dense(x, p, f"enc{i}.attn.v")
+        x = _layer(x_rows, q, k, v, p, i, config.attention_heads)
     return x
 
 
@@ -263,7 +245,7 @@ def embed_sequence(seq: SkeletonSequence | np.ndarray, w: TanWeights,
         raise ShapeError(f"embed_sequence: expected (T, {3 * w.joints}) frames, got {flat.shape}")
     t = flat.shape[0]
     p = {name: tensor.values for name, tensor in w.tensors.items()}
-    e = _linear(np.maximum(_linear(flat, p, "embed.fc1"), 0.0), p, "embed.fc2")
+    e = _mlp(flat, p, "embed")
     windowed = window is not None and t > window
     if windowed:
         # (start, kept slots) of each distinct window, grouped by how many
@@ -277,7 +259,7 @@ def embed_sequence(seq: SkeletonSequence | np.ndarray, w: TanWeights,
         length, groups = t, [(np.zeros(1, np.int64), np.arange(t)[None])]
     pe = positional_encoding(length, w.config.hidden_dim)
     # overlapping windows share frames: project each frame and slot once
-    layer0 = ({c: (_linear(e, p, f"enc0.attn.{c}"), pe @ p[f"enc0.attn.{c}.w"]) for c in "qkv"}
+    layer0 = ({c: (_dense(e, p, f"enc0.attn.{c}"), pe @ p[f"enc0.attn.{c}.w"]) for c in "qkv"}
               if windowed else None)
     z = np.empty((t, w.config.hidden_dim))
     for starts, keep in groups:
@@ -287,8 +269,7 @@ def embed_sequence(seq: SkeletonSequence | np.ndarray, w: TanWeights,
                                           w.config)
     if space == "hidden":
         return z
-    h = _linear(np.maximum(_linear(z, p, "proj.fc1"), 0.0), p, "proj.fc2")
-    return ad.l2_normalize_forward(h)[0]
+    return ad.l2_normalize(_mlp(z, p, "proj"))
 
 
 # --- checkpoints ---------------------------------------------------------------

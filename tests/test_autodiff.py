@@ -221,6 +221,39 @@ def test_catalog_op_grad_check(name, fn, shape, kink):
     assert grad_check(fn, x, eps=1e-4) < 1e-4
 
 
+def _forward_op_cases():
+    """The ops a forward pass runs, each with plain-array operands."""
+    rng = np.random.default_rng(40)
+    a = lambda *shape: rng.normal(size=shape)
+    return [
+        ("linear", ad.linear, (a(2, 3, 4), a(4, 5), a(5))),
+        ("relu", ad.relu, (a(3, 4),)),
+        ("add", ad.add, (a(3, 4), a(3, 4))),
+        ("matmul", ad.matmul, (a(2, 3, 4), a(2, 4, 5))),
+        ("transpose", lambda x: ad.transpose(x, (0, 2, 1)), (a(2, 3, 4),)),
+        ("reshape", lambda x: ad.reshape(x, (6, -1)), (a(2, 3, 4),)),
+        ("scalar_mul", lambda x: ad.scalar_mul(x, -1.7), (a(3, 4),)),
+        ("softmax", lambda x: ad.softmax(x, axis=-1), (a(3, 5),)),
+        ("layer_norm", ad.layer_norm, (a(3, 5), a(5), a(5))),
+        ("l2_normalize", ad.l2_normalize, (a(3, 4),)),
+    ]
+
+
+@pytest.mark.parametrize("name,fn,operands", _forward_op_cases(),
+                         ids=[c[0] for c in _forward_op_cases()])
+def test_forward_op_on_arrays_runs_graph_free(name, fn, operands):
+    out = fn(*operands)
+    assert type(out) is np.ndarray
+    recorded = fn(*[ad.parameter(x) for x in operands])
+    assert isinstance(recorded, Tensor) and recorded.requires_grad
+    # bit-equal, signed zeros included
+    assert out.shape == recorded.shape and out.tobytes() == recorded.values.tobytes()
+    with ad.no_grad():
+        inferred = fn(*[ad.parameter(x) for x in operands])
+    assert isinstance(inferred, Tensor)
+    assert not inferred.requires_grad and inferred.parents == ()
+
+
 class TestLinear:
     def test_matches_composed_ops_bit_for_bit(self):
         # the reshape -> matmul -> add_bias -> reshape chain linear replaces

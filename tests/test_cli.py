@@ -21,6 +21,7 @@ from motiontok.cli import (
     run,
     split_corpus,
 )
+from motiontok import apps as apps_module
 from motiontok import cli as cli_module
 from motiontok import lexicon as lexicon_module
 from motiontok.data import (LabeledCorpus, generate_synthetic_corpus, load_corpus, load_sequence,
@@ -307,6 +308,37 @@ class TestCommands:
         report.save(tmp_path)
         assert json.loads((tmp_path / "metrics.json").read_text())["f2"] is None
         assert "f2=" not in (tmp_path / "metrics.txt").read_text()
+
+    @pytest.mark.parametrize("command", ["eval", "detect", "sweep-k"])
+    def test_one_sequence_corpus_rejected_before_embedding(self, pipeline, tmp_path,
+                                                           monkeypatch, command):
+        # one sequence leaves split_corpus's eval split empty
+        config, corpus_dir, ckpt, lex, _ = pipeline
+        corpus = load_corpus(corpus_dir)
+        one = tmp_path / "one"
+        save_corpus(LabeledCorpus(corpus.sequences[:1], corpus.frame_labels[:1],
+                                  corpus.primitive_count), one)
+
+        def no_embedding(*args, **kwargs):
+            raise AssertionError("a sequence was embedded")
+
+        for module in (cli_module, lexicon_module, apps_module):
+            monkeypatch.setattr(module, "embed_sequence", no_embedding)
+        out = tmp_path / "out"
+        commands = {"eval": lambda: cmd_eval(config, one, ckpt, lex, out),
+                    "detect": lambda: cmd_detect(config, one, ckpt, lex, out),
+                    "sweep-k": lambda: cmd_sweep_k(config, one, ckpt, out)}
+        with pytest.raises(ValueError, match=f"^{command} needs .* at least 2 sequences.*got 1$"):
+            commands[command]()
+        assert not out.exists()
+
+    def test_one_sequence_corpus_builds_lexicon(self, pipeline, tmp_path):
+        config, corpus_dir, ckpt, _, _ = pipeline
+        corpus = load_corpus(corpus_dir)
+        one = tmp_path / "one"
+        save_corpus(LabeledCorpus(corpus.sequences[:1], corpus.frame_labels[:1],
+                                  corpus.primitive_count), one)
+        assert cmd_build_lexicon(config, one, ckpt, tmp_path / "one.bin").exists()
 
     @pytest.mark.parametrize("command,flag,override", [
         ("build-lexicon", ["--k", "3"], {"lexicon": {"k": 3}}),

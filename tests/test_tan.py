@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -269,3 +271,25 @@ class TestWindowedInference:
     def test_wrong_feature_dim_rejected(self):
         with pytest.raises(ShapeError):
             embed_sequence(np.zeros((4, 8)), tiny_weights(), window=3)
+
+    # sha256 prefixes of the float64 output bytes. The oracle test above holds
+    # embed_sequence to 1e-10; these hold it to the bit, so a reordered
+    # floating-point operation in the inference path shows.
+    @pytest.mark.parametrize("layers,window,space,digest", [
+        (1, WINDOW, "projection", "6244b6aff9e923ae"),
+        (1, WINDOW, "hidden", "51d38bb1bb3032b7"),
+        (1, None, "projection", "969658169446220a"),
+        (1, None, "hidden", "057a28d24bf0e2d5"),
+        (3, WINDOW, "projection", "d9858ca03a2c4ff6"),
+        (3, WINDOW, "hidden", "eb6b5846e08fa1de"),
+        (3, None, "projection", "71e25d6daab11cf3"),
+        (3, None, "hidden", "654b8c9fab874657"),
+    ])
+    def test_output_pinned(self, layers, window, space, digest):
+        config = TanConfig(hidden_dim=16, encoder_layers=layers, attention_heads=4,
+                           projection_dim=8, sequence_length=6)
+        w = init_weights(config, joints=3, seed=layers)
+        x = np.random.default_rng(40).normal(size=(40, 9))
+        got = embed_sequence(x, w, space=space, window=window)
+        raw = np.ascontiguousarray(got, "<f8").tobytes()
+        assert hashlib.sha256(raw).hexdigest()[:16] == digest
