@@ -13,7 +13,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -146,56 +146,44 @@ class PipelineConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
-DESK_TAN = dict(hidden_dim=64, encoder_layers=2, attention_heads=4,
-                projection_dim=32, sequence_length=64)
-DESK_TRAIN = dict(batch_size=8, epochs=30, warmup_epochs=3, peak_lr=2e-3)
-DESK_LEXICON = dict(context_window=16)
-PAPER_TAN = dict(hidden_dim=512, encoder_layers=3, attention_heads=8,
-                 projection_dim=128, sequence_length=64)
-PAPER_TRAIN = dict(batch_size=32, epochs=500, warmup_epochs=50, peak_lr=2.5e-5)
-PAPER_LEXICON: dict = {}
+# Named profiles: the values each sets over its sections' defaults
+PROFILES: dict[str, dict[str, dict]] = {
+    "desk": {"tan": dict(hidden_dim=64, encoder_layers=2, attention_heads=4,
+                         projection_dim=32, sequence_length=64),
+             "train": dict(batch_size=8, epochs=30, warmup_epochs=3, peak_lr=2e-3),
+             "lexicon": dict(context_window=16)},
+    "paper": {"tan": dict(hidden_dim=512, encoder_layers=3, attention_heads=8,
+                          projection_dim=128, sequence_length=64),
+              "train": dict(batch_size=32, epochs=500, warmup_epochs=50, peak_lr=2.5e-5)},
+}
+
+# section name -> option class, in PipelineConfig's field order (tan before train)
+_SECTIONS = {f.name: f.default_factory for f in fields(PipelineConfig)
+             if f.default_factory is not MISSING}
 
 
 def make_config(profile: str = "desk", seed: int = 0, overrides: dict | None = None,
                 ) -> PipelineConfig:
-    """Build a config from a named profile plus nested override dicts."""
-    if profile == "desk":
-        tan_kw, train_kw, lex_kw = dict(DESK_TAN), dict(DESK_TRAIN), dict(DESK_LEXICON)
-    elif profile == "paper":
-        tan_kw, train_kw, lex_kw = dict(PAPER_TAN), dict(PAPER_TRAIN), dict(PAPER_LEXICON)
-    else:
+    """Build a config from a named profile plus nested override dicts: `seed`
+    (wins over the argument), `threads` and one dict per section. The training
+    seed defaults to the master seed, the crop length to the encoder's."""
+    if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
-    sections: dict[str, dict] = {"tan": tan_kw, "train": train_kw, "lexicon": lex_kw}
-    for name in ("augment", "synth", "metrics", "detection", "composition"):
-        sections[name] = {}
-    top: dict = {}
-    for key, value in (overrides or {}).items():
-        if key in sections:
-            sections[key].update(value)
-        elif key in ("seed", "threads", "profile"):
-            top[key] = value
-        else:
-            raise ValueError(f"unknown config section {key!r}")
-    train_kw = dict(sections["train"])
-    train_kw.setdefault("seed", top.get("seed", seed))
-    train_kw.setdefault("frames", sections["tan"].get("sequence_length", 64))
-    for name, cls in (("metrics", MetricOptions), ("detection", DetectionOptions)):
-        for f in fields(cls):
-            if f.name in sections[name] and isinstance(sections[name][f.name], list):
-                sections[name][f.name] = tuple(sections[name][f.name])
-    return PipelineConfig(
-        seed=top.get("seed", seed),
-        threads=top.get("threads", 1),
-        profile=profile,
-        tan=TanConfig(**sections["tan"]),
-        train=TrainConfig(**train_kw),
-        augment=AugmentRanges(**sections["augment"]),
-        synth=SynthOptions(**sections["synth"]),
-        lexicon=LexiconOptions(**sections["lexicon"]),
-        metrics=MetricOptions(**sections["metrics"]),
-        detection=DetectionOptions(**sections["detection"]),
-        composition=CompositionOptions(**sections["composition"]),
-    )
+    overrides = dict(overrides or {})
+    seed = overrides.pop("seed", seed)
+    threads = overrides.pop("threads", 1)
+    for key in overrides:
+        if key not in _SECTIONS:
+            raise ValueError(f"unknown config key {key!r}; sections: {', '.join(_SECTIONS)}")
+    sections = {}
+    for name, cls in _SECTIONS.items():
+        values = {**PROFILES[profile].get(name, {}), **overrides.get(name, {})}
+        if name == "train":
+            values = {"seed": seed, "frames": sections["tan"].sequence_length, **values}
+        # JSON lists become tuples, so configs stay hashable and compare equal
+        sections[name] = cls(**{key: tuple(value) if isinstance(value, list) else value
+                                for key, value in values.items()})
+    return PipelineConfig(seed=seed, threads=threads, profile=profile, **sections)
 
 
 def load_config(path: str | Path | None, profile: str | None = None,

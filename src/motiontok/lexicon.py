@@ -238,9 +238,17 @@ _LEX_MAGIC = "acton-lexicon"
 
 
 def _lexicon_shapes(header: dict, path: Path) -> list[tuple[int, ...]]:
-    """Lexicon header rule: a metadata object and one (k, dim) centroid array."""
-    if not isinstance(header.get("metadata"), dict):
+    """Lexicon header rule: a metadata object with a usable feature space and
+    context window (where present), and one (k, dim) centroid array."""
+    meta = header.get("metadata")
+    if not isinstance(meta, dict):
         raise HeaderError(f"{path.name}: lexicon header has no metadata object")
+    if meta.get("feature_space", "projection") not in ("projection", "hidden"):
+        raise HeaderError(f"{path.name}: unknown feature_space {meta['feature_space']!r}")
+    window = meta.get("context_window")
+    if window is not None and (type(window) is not int or window < 1):
+        raise HeaderError(f"{path.name}: context_window must be null or an integer >= 1, "
+                          f"got {window!r}")
     return [(header.get("k"), header.get("dim"))]
 
 

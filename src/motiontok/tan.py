@@ -240,6 +240,8 @@ def embed_sequence(seq: SkeletonSequence | np.ndarray, w: TanWeights,
     """
     if space not in ("projection", "hidden"):
         raise ValueError(f"unknown feature space {space!r}")
+    if window is not None and window < 1:
+        raise ValueError(f"context window must be None or >= 1, got {window}")
     flat = seq.flat() if isinstance(seq, SkeletonSequence) else np.asarray(seq, np.float64)
     if flat.ndim != 2 or flat.shape[1] != 3 * w.joints:
         raise ShapeError(f"embed_sequence: expected (T, {3 * w.joints}) frames, got {flat.shape}")

@@ -23,32 +23,29 @@ from .tan import TanConfig, TanWeights, encode, init_weights, project
 ALL_FRAMES = "all_frames"
 EXCLUDE_SAME_CLIP = "exclude_same_clip"
 
+# Fixed training settings: the paper's recipe, and the TCN baseline's anchor
+# count per clip. The TCN and TCC losses run at their own defaults.
+WEIGHT_DECAY = 1e-6
+GRAD_CLIP_NORM = 0.5
+TCN_ANCHORS = 16
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = 32
     frames: int = 64
     peak_lr: float = 2.5e-5
-    weight_decay: float = 1e-6
-    grad_clip_norm: float = 0.5
     epochs: int = 500
     warmup_epochs: int = 50
     temperature: float = 0.1
     negative_mode: str = EXCLUDE_SAME_CLIP
     seed: int = 0
-    # TCN baseline knobs
-    tcn_anchors: int = 16
-    tcn_pos_window: int = 2
-    tcn_neg_multiplier: int = 4
-    tcn_margin: float = 2.0
-    # TCC baseline knob
-    tcc_temperature: float = 0.1
 
     def __post_init__(self):
         if min(self.batch_size, self.frames) < 1 or self.epochs < 0:
             raise ValueError("batch_size, frames must be >= 1 and epochs >= 0")
-        if not (self.peak_lr > 0 and self.grad_clip_norm > 0 and self.temperature > 0):
-            raise ValueError("peak_lr, grad_clip_norm, temperature must be positive")
+        if not (self.peak_lr > 0 and self.temperature > 0):
+            raise ValueError("peak_lr, temperature must be positive")
         if self.warmup_epochs > self.epochs:
             raise ValueError("warmup_epochs cannot exceed epochs")
         if self.negative_mode not in (ALL_FRAMES, EXCLUDE_SAME_CLIP):
@@ -297,10 +294,15 @@ def train_tan(corpus: LabeledCorpus, tan_config: TanConfig, train_config: TrainC
     if not usable:
         raise ValueError("no sequence long enough to crop; reduce frames")
 
-    joints = usable[0].joints
-    weights = init_weights(tan_config, joints, train_config.seed)
-    state = AdamState()
     steps_per_epoch = max(1, int(np.ceil(len(usable) / train_config.batch_size)))
+    smallest_batch = len(usable) // steps_per_epoch  # np.array_split's shortest part
+    if (loss_kind == "tan" and train_config.negative_mode == EXCLUDE_SAME_CLIP
+            and smallest_batch < 2):
+        raise ValueError(
+            f"{len(usable)} usable sequences at batch_size {train_config.batch_size} make a "
+            f"batch of {smallest_batch} clip; exclude_same_clip needs >= 2 clips per batch")
+    weights = init_weights(tan_config, usable[0].joints, train_config.seed)
+    state = AdamState()
     history: list[EpochStats] = []
     global_step = 0
     for epoch in range(train_config.epochs):
@@ -324,27 +326,22 @@ def train_tan(corpus: LabeledCorpus, tan_config: TanConfig, train_config: TrainC
                                      mode=train_config.negative_mode,
                                      tau=train_config.temperature)
             elif loss_kind == "tcn":
-                items = [tcn_loss(a, b, train_config.tcn_anchors, rng,
-                                  margin=train_config.tcn_margin,
-                                  pos_window=train_config.tcn_pos_window,
-                                  neg_multiplier=train_config.tcn_neg_multiplier)
-                         for a, b in zip(va, vb)]
+                items = [tcn_loss(a, b, TCN_ANCHORS, rng) for a, b in zip(va, vb)]
                 loss = ad.mean(ad.concat([ad.reshape(x, (1,)) for x in items], axis=0))
             else:
-                items = [tcc_loss(a, b, train_config.tcc_temperature)
-                         for a, b in zip(va, vb)]
+                items = [tcc_loss(a, b) for a, b in zip(va, vb)]
                 loss = ad.mean(ad.concat([ad.reshape(x, (1,)) for x in items], axis=0))
 
             lr = lr_at(global_step, train_config, steps_per_epoch)
             weights.zero_grad()
             ad.backward(loss)
-            gnorm = clip_gradients(weights, train_config.grad_clip_norm)
+            gnorm = clip_gradients(weights, GRAD_CLIP_NORM)
             if not (np.isfinite(loss.values) and np.isfinite(gnorm)):
                 raise RuntimeError(
                     f"non-finite loss at step {global_step} (lr={lr:.3e}, "
                     f"grad_norm={gnorm:.3e})"
                 )
-            adam_step(weights, state, lr, train_config.weight_decay)
+            adam_step(weights, state, lr, WEIGHT_DECAY)
             if not weights.all_finite():
                 raise RuntimeError(f"non-finite weights after step {global_step}")
             losses.append(float(loss.values))

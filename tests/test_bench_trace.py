@@ -5,27 +5,17 @@ traced benchmark run. Likewise every benchmark workload's config must build
 under the option checks, and one short benchmark run must pass its own
 correctness checks, which call package functions directly and compare the
 forward pass with an independent reference."""
-import importlib.util
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up by name
-    spec.loader.exec_module(module)
-    return module
+from testkit import PERFBENCH, load_perfbench
 
 
 def test_install_wraps_every_name_and_unwrap_restores_it():
-    trace = _load("trace")
+    trace = load_perfbench("trace")
     tracer = trace.Tracer()
     try:
         trace.install(tracer)
@@ -41,7 +31,7 @@ def test_install_wraps_every_name_and_unwrap_restores_it():
 
 @pytest.mark.parametrize("name", ["desk", "wide", "sweep", "tiny"])
 def test_workload_config_builds(name):
-    workload = _load("chain").WORKLOADS[name]
+    workload = load_perfbench("chain").WORKLOADS[name]
     assert workload.config(seed=0).synth.sequences == workload.sequences
 
 

@@ -28,6 +28,7 @@ from motiontok.data import (LabeledCorpus, generate_synthetic_corpus, load_corpu
                             save_corpus)
 from motiontok.lexicon import Lexicon
 from motiontok.tan import load_checkpoint
+from testkit import load_perfbench
 
 
 TINY_OVERRIDES = {
@@ -76,6 +77,48 @@ OPTION_RULES = [
 ]
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# fixed settings of motiontok.train that are no longer config keys
+REMOVED_TRAIN_KEYS = ["weight_decay", "grad_clip_norm", "tcn_anchors", "tcn_pos_window",
+                      "tcn_neg_multiplier", "tcn_margin", "tcc_temperature"]
+
+# a config that sets a key in every section, list values and both top-level keys
+OVERRIDDEN = {
+    "seed": 11, "threads": 2,
+    "tan": {"hidden_dim": 32, "attention_heads": 2, "projection_dim": 16, "sequence_length": 24},
+    "train": {"frames": 20, "batch_size": 4, "epochs": 5, "warmup_epochs": 2,
+              "negative_mode": "all_frames", "temperature": 0.2},
+    "augment": {"rotation_range_deg": 9.0, "speed_max": 1.5},
+    "synth": {"sequences": 12, "joints": 5},
+    "lexicon": {"k": 6, "feature_space": "hidden", "context_window": 8},
+    "metrics": {"sweep_k": [4, 8, 12], "n_max": 3},
+    "detection": {"scales_seconds": [0.5, 1.5], "stride": 4},
+    "composition": {"words": 5, "blend_frames": 3},
+}
+
+# Config digests pinned before the fixed training settings (weight decay,
+# gradient clip, TCN and TCC settings) left TrainConfig: every config must
+# still build exactly as it did, apart from those keys.
+CONFIG_PINS = {
+    "desk": "1a2ea6ecf568",
+    "paper": "8b27a446adc9",
+    "overridden": "1ffd643cbc7d",
+    "bench_desk": "9118145d29a9",
+    "bench_wide": "33385bfc1536",
+    "bench_sweep": "2cbff01cbea5",
+    "bench_tiny": "2a6744977dd7",
+}
+
+
+def _pinned_config(name):
+    if name.startswith("bench_"):
+        return load_perfbench("chain").WORKLOADS[name[len("bench_"):]].config(seed=5)
+    if name == "overridden":
+        return make_config("desk", seed=3, overrides=OVERRIDDEN)
+    return make_config(name)
+
+
 def tiny_config(seed=0):
     return make_config(profile="desk", seed=seed, overrides=TINY_OVERRIDES)
 
@@ -103,6 +146,17 @@ class TestConfig:
         assert paper.train.epochs == 500 and paper.train.warmup_epochs == 50
         assert paper.train.batch_size == 32 and paper.tan.sequence_length == 64
 
+    @pytest.mark.parametrize("name", sorted(CONFIG_PINS))
+    def test_config_digest_pinned(self, name):
+        assert _pinned_config(name).digest() == CONFIG_PINS[name]
+
+    def test_overrides_reach_every_section(self):
+        config = _pinned_config("overridden")
+        assert (config.seed, config.threads, config.train.seed) == (11, 2, 11)
+        assert config.train.frames == 20 and config.metrics.sweep_k == (4, 8, 12)
+        assert config.detection.scales_seconds == (0.5, 1.5)
+        assert config.synth.joints == 5 and config.composition.blend_frames == 3
+
     def test_digest_stable_and_sensitive(self):
         a, b = tiny_config(seed=1), tiny_config(seed=1)
         assert a.digest() == b.digest()
@@ -111,6 +165,44 @@ class TestConfig:
     def test_unknown_section_rejected(self):
         with pytest.raises(ValueError):
             make_config("desk", overrides={"bogus": {}})
+
+    def test_profile_override_rejected(self):
+        # the profile is make_config's argument; load_config takes a file's
+        # profile key out before it builds the config
+        with pytest.raises(ValueError, match="unknown config key 'profile'"):
+            make_config("desk", overrides={"profile": "paper"})
+
+    def test_readme_example_config_builds(self, tmp_path):
+        text = README.read_text()
+        block = text.split("Example config", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "cfg.json"
+        path.write_text(block)
+        config = load_config(path)
+        for section, values in json.loads(block).items():
+            if isinstance(values, dict):
+                for key, value in values.items():
+                    assert getattr(getattr(config, section), key) == value, (section, key)
+            else:
+                assert getattr(config, section) == values
+
+    @pytest.mark.parametrize("key", REMOVED_TRAIN_KEYS)
+    def test_removed_train_key_rejected(self, tmp_path, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"train": {key: 0.0}}))
+        with pytest.raises(TypeError, match=key):
+            load_config(path)
+
+    def test_removed_train_key_ends_command(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"train": {"weight_decay": 0.0}}))
+        monkeypatch.setattr(sys, "argv", ["motiontok", "--config", str(cfg), "gen-synth",
+                                          "--out", str(tmp_path / "corpus")])
+        with pytest.raises(SystemExit) as exc:
+            cli_module.main()
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: TypeError: ") and "weight_decay" in err
+        assert not (tmp_path / "corpus").exists()
 
     def test_load_config_file(self, tmp_path):
         path = tmp_path / "cfg.json"

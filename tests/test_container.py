@@ -210,6 +210,33 @@ def test_inconsistent_header(tmp_path, fmt, edit, error):
         fmt.load(path)
 
 
+def _set_meta(key, value):
+    return lambda h: h["metadata"].update({key: value})
+
+
+# lexicon metadata that tokenize, eval and detect cannot embed with
+BAD_METADATA = [("feature_space", "raw"), ("feature_space", None), ("context_window", 0),
+                ("context_window", -3), ("context_window", 2.5), ("context_window", "8"),
+                ("context_window", True)]
+
+
+@pytest.mark.parametrize("key,value", BAD_METADATA,
+                         ids=[f"{k}={v!r}" for k, v in BAD_METADATA])
+def test_unusable_lexicon_metadata(tmp_path, key, value):
+    _, path, raw = _saved(tmp_path, LEXICON)
+    path.write_bytes(_edit_header(raw, _set_meta(key, value)))
+    with pytest.raises(HeaderError, match=key):
+        load_lexicon(path)
+
+
+@pytest.mark.parametrize("key,value", [("feature_space", "hidden"), ("context_window", None),
+                                       ("context_window", 1), ("context_window", 64)])
+def test_usable_lexicon_metadata_loads(tmp_path, key, value):
+    _, path, raw = _saved(tmp_path, LEXICON)
+    path.write_bytes(_edit_header(raw, _set_meta(key, value)))
+    assert load_lexicon(path).metadata[key] == value
+
+
 def test_typed_errors_are_value_errors():
     for error in (HeaderError, PayloadSizeError, NonFiniteError):
         assert issubclass(error, SequenceFormatError) and issubclass(error, ValueError)

@@ -268,6 +268,11 @@ class TestWindowedInference:
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-10
 
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_window_below_one_rejected(self, window):
+        with pytest.raises(ValueError, match="context window must be None or >= 1"):
+            embed_sequence(np.zeros((4, 9)), tiny_weights(), window=window)
+
     def test_wrong_feature_dim_rejected(self):
         with pytest.raises(ShapeError):
             embed_sequence(np.zeros((4, 8)), tiny_weights(), window=3)

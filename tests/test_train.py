@@ -6,7 +6,7 @@ import pytest
 
 from motiontok import autodiff as ad
 from motiontok.autodiff import Tensor
-from motiontok.data import generate_synthetic_corpus
+from motiontok.data import LabeledCorpus, generate_synthetic_corpus
 from motiontok.tan import TanConfig, weights_digest
 from motiontok.train import (
     ALL_FRAMES,
@@ -303,6 +303,10 @@ def corpus():
     return generate_synthetic_corpus(3, 8, 3, 16, seed=21)
 
 
+def _first(corpus, n):
+    return LabeledCorpus(corpus.sequences[:n], corpus.frame_labels[:n], corpus.primitive_count)
+
+
 class TestTrainLoop:
 
     def _cfg(self, epochs, **kw):
@@ -406,9 +410,30 @@ class TestTrainLoop:
             _, history = train_tan(corpus, TINY_TAN, cfg, loss_kind=kind)
             assert np.isfinite(history[0].mean_loss)
 
+    @pytest.mark.parametrize("sequences,batch", [(1, 4), (3, 2)])
+    def test_one_clip_batch_rejected_before_training(self, corpus, monkeypatch, sequences,
+                                                     batch):
+        # array_split leaves a batch of one clip, which has no negatives under
+        # exclude_same_clip: refused before the weights are drawn
+        from motiontok import train as train_module
+        monkeypatch.setattr(train_module, "init_weights", None)
+        with pytest.raises(ValueError, match=f"^{sequences} usable sequences at batch_size "
+                                             f"{batch} make a batch of 1 clip"):
+            train_tan(_first(corpus, sequences), TINY_TAN, self._cfg(1, batch_size=batch))
+
+    def test_two_clip_batches_train(self, corpus):
+        _, history = train_tan(_first(corpus, 4), TINY_TAN, self._cfg(1, batch_size=2))
+        assert np.isfinite(history[0].mean_loss)
+
+    def test_one_clip_batches_train_other_objectives(self, corpus):
+        part = _first(corpus, 3)
+        for kind in ("tcn", "tcc"):
+            train_tan(part, TINY_TAN, self._cfg(1, batch_size=2), loss_kind=kind)
+        train_tan(part, TINY_TAN, self._cfg(1, batch_size=2, negative_mode=ALL_FRAMES))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_loss_aborts_with_diagnostics(self):
-        from motiontok.data import LabeledCorpus, SkeletonSequence
+        from motiontok.data import SkeletonSequence
         huge = SkeletonSequence(data=np.full((16, 3, 3), 1e200), fps=30.0)
         corpus = LabeledCorpus(sequences=[huge, huge],
                                frame_labels=[np.zeros(16, dtype=int)] * 2,

@@ -9,8 +9,13 @@ here rather than in `motiontok`.
 - `metric_correlation`: Pearson, Spearman and Kendall tau-b in numpy.
 - `raw_embed`: the raw-coordinate baseline of criteria 4-6.
 - `IDENTITY_RANGES`: augmentation ranges that leave a clip unchanged.
+- `load_perfbench`: a module of the benchmark harness, imported from its file.
 """
 from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -20,6 +25,17 @@ from motiontok.data import SkeletonSequence, center_normalize_frames
 from motiontok.metrics import entropy_table
 
 IDENTITY_RANGES = AugmentRanges(translation_range=0.0, rotation_range_deg=0.0, speed_max=1.0)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name: str):
+    """perfbench/<name>.py as module `perfbench_<name>` (the harness is not a package)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up by name
+    spec.loader.exec_module(module)
+    return module
 
 
 def grad_check(f, x: ad.Tensor, eps: float = 1e-4) -> float:
