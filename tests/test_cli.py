@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from motiontok.cli import (
     cmd_sweep_k,
     cmd_tokenize,
     cmd_train,
+    corpus_detection_map,
     evaluate,
     load_config,
     make_config,
@@ -26,8 +28,9 @@ from motiontok import cli as cli_module
 from motiontok import lexicon as lexicon_module
 from motiontok.data import (LabeledCorpus, generate_synthetic_corpus, load_corpus, load_sequence,
                             save_corpus)
-from motiontok.lexicon import Lexicon
-from motiontok.tan import load_checkpoint
+from motiontok.apps import learn_acton_class_map
+from motiontok.lexicon import Lexicon, build_lexicon, tokenize_corpus
+from motiontok.tan import TanConfig, init_weights, load_checkpoint
 from testkit import load_perfbench
 
 
@@ -310,6 +313,23 @@ class TestCommands:
         assert 0.0 <= score <= 1.0
         text = (root / "dets.tsv").read_text()
         assert "# mAP=" in text or "# map_theta=" in text
+
+    def test_corpus_detections_pinned(self):
+        # untrained tiny encoder: the pin covers tokenization, the class map,
+        # window scoring and NMS, not training
+        corpus = generate_synthetic_corpus(3, 10, 3, 16, seed=23)
+        train, eval_split = split_corpus(corpus, 0.3)
+        tan = TanConfig(hidden_dim=16, encoder_layers=1, attention_heads=2, projection_dim=8,
+                        sequence_length=12)
+        weights = init_weights(tan, joints=corpus.sequences[0].joints, seed=4)
+        lexicon = build_lexicon(train, weights, k=6, seed=1, window=12)
+        _, train_actons = tokenize_corpus(train, weights, lexicon)
+        cmap = learn_acton_class_map(train_actons, train.frame_labels, lexicon.k)
+        score, rows = corpus_detection_map(eval_split, weights, lexicon, cmap, [6, 12, 24])
+        text = "\n".join(f"{sid}\t{d.class_id}\t{d.start}\t{d.end}\t{d.confidence!r}"
+                         for sid, d in rows)
+        assert (len(rows), repr(score)) == (45, "0.17936507936507937")
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "374099ac9bf846e0"
 
     def test_compose_writes_playable_sequence(self, pipeline):
         config, corpus_dir, ckpt, lex, root = pipeline

@@ -26,6 +26,7 @@ from motiontok.tan import (
     save_checkpoint,
     weights_digest,
 )
+from testkit import payload_digest
 
 TINY = TanConfig(hidden_dim=8, encoder_layers=1, attention_heads=2, projection_dim=4,
                  sequence_length=8)
@@ -90,6 +91,11 @@ class TestLayout:
         _, _, raw = _saved(tmp_path, fmt)
         size, digest = self.GOLDEN[fmt.name]
         assert (len(raw), hashlib.sha256(raw).hexdigest()[:16]) == (size, digest)
+
+    def test_checkpoint_payload_unchanged(self, tmp_path):
+        # the weight bytes after the header line, pinned apart from the header
+        _, _, raw = _saved(tmp_path, CHECKPOINT)
+        assert payload_digest(raw) == "2860537204fe53d0"
 
     def test_weights_digest_hashes_the_checkpoint_bytes(self, tmp_path):
         w, path, raw = _saved(tmp_path, CHECKPOINT)

@@ -10,9 +10,11 @@ here rather than in `motiontok`.
 - `raw_embed`: the raw-coordinate baseline of criteria 4-6.
 - `IDENTITY_RANGES`: augmentation ranges that leave a clip unchanged.
 - `load_perfbench`: a module of the benchmark harness, imported from its file.
+- `payload_digest`: the sha256 prefix of a container file's bytes after its header line.
 """
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -36,6 +38,12 @@ def load_perfbench(name: str):
     sys.modules[spec.name] = module  # dataclasses look their module up by name
     spec.loader.exec_module(module)
     return module
+
+
+def payload_digest(raw: bytes) -> str:
+    """sha256 prefix of a container file's array bytes, the part after the
+    JSON header line: it pins the stored numbers whatever the header holds."""
+    return hashlib.sha256(raw.split(b"\n", 1)[1]).hexdigest()[:16]
 
 
 def grad_check(f, x: ad.Tensor, eps: float = 1e-4) -> float:
