@@ -9,9 +9,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SkeletonSequence, center_normalize_frames
-from .lexicon import Lexicon, TokenStream, assign
+# embed_sequence and assign are not called here; they stay importable as
+# apps.embed_sequence and apps.assign for callers that wrap them
+from .lexicon import TokenStream, assign
 from .metrics import temporal_iou
-from .tan import TanWeights, embed_sequence
+from .tan import embed_sequence
 
 BACKGROUND_CLASS = -1
 
@@ -88,11 +90,10 @@ def nms(detections: list[Detection], iou_threshold: float) -> list[Detection]:
     return kept
 
 
-def detect(seq: SkeletonSequence, weights: TanWeights, lexicon: Lexicon,
-           class_map: ActonClassMap, window_scales: list[int],
+def detect(frame_actons, class_map: ActonClassMap, window_scales: list[int],
            stride: int | None = None, nms_iou: float = 0.5) -> list[Detection]:
-    """Score sliding windows of each scale by frame-class agreement and keep the
-    per-class NMS survivors.
+    """Score sliding windows of each scale over one sequence's frame acton
+    labels by frame-class agreement and keep the per-class NMS survivors.
 
     window_scales are in frames; stride=None uses a quarter of each scale,
     a positive integer fixes one stride for all scales.
@@ -101,12 +102,13 @@ def detect(seq: SkeletonSequence, weights: TanWeights, lexicon: Lexicon,
         raise ValueError("need at least one window scale")
     if stride is not None and stride < 1:
         raise ValueError("stride must be >= 1")
-    space = lexicon.metadata.get("feature_space", "projection")
-    window = lexicon.metadata.get("context_window")
-    features = embed_sequence(seq, weights, space=space, window=window)
-    frame_actons = assign(features, lexicon)
+    frame_actons = np.asarray(frame_actons)
+    k = class_map.classes.size
+    if (frame_actons.ndim != 1 or not np.issubdtype(frame_actons.dtype, np.integer)
+            or frame_actons.size < 1 or not 0 <= frame_actons.min() <= frame_actons.max() < k):
+        raise ValueError(f"frame_actons must be a non-empty 1-d array of acton ids in [0, {k})")
     frame_classes = class_map.classes[frame_actons]
-    t = seq.frames
+    t = frame_actons.size
     real_classes = np.unique(class_map.classes[class_map.classes != BACKGROUND_CLASS])
     raw: list[Detection] = []
     for scale in window_scales:

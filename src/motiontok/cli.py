@@ -139,6 +139,12 @@ class PipelineConfig:
     detection: DetectionOptions = field(default_factory=DetectionOptions)
     composition: CompositionOptions = field(default_factory=CompositionOptions)
 
+    def __post_init__(self):
+        _require(type(self.seed) is int and self.seed >= 0,
+                 f"seed must be an integer >= 0, got {self.seed!r}")
+        _require(type(self.threads) is int and self.threads >= 1,
+                 f"threads must be an integer >= 1, got {self.threads!r}")
+
     def digest(self) -> str:
         data = asdict(self)
         data.pop("threads")  # worker count never changes results
@@ -172,9 +178,12 @@ def make_config(profile: str = "desk", seed: int = 0, overrides: dict | None = N
     overrides = dict(overrides or {})
     seed = overrides.pop("seed", seed)
     threads = overrides.pop("threads", 1)
-    for key in overrides:
+    for key, value in overrides.items():
         if key not in _SECTIONS:
             raise ValueError(f"unknown config key {key!r}; sections: {', '.join(_SECTIONS)}")
+        if not isinstance(value, dict):
+            raise ValueError(f"config section {key!r} must be an object, "
+                             f"got {type(value).__name__}")
     sections = {}
     for name, cls in _SECTIONS.items():
         values = {**PROFILES[profile].get(name, {}), **overrides.get(name, {})}
@@ -193,6 +202,9 @@ def load_config(path: str | Path | None, profile: str | None = None,
     file_profile = None
     if path is not None:
         overrides = json.loads(Path(path).read_text())
+        if not isinstance(overrides, dict):
+            raise ValueError(f"config file {path} must hold a JSON object, "
+                             f"got {type(overrides).__name__}")
         file_profile = overrides.pop("profile", None)
     if seed is not None:
         overrides["seed"] = seed
@@ -404,21 +416,19 @@ def cmd_eval(config: PipelineConfig, corpus_dir: Path, ckpt: Path, lex_path: Pat
 def corpus_detection_map(eval_split: LabeledCorpus, weights: TanWeights,
                          lexicon: Lexicon, cmap, scales,
                          stride: int | None = None, nms_iou: float = 0.5,
-                         theta: float = 0.3,
+                         theta: float = 0.3, threads: int = 1,
                          ) -> tuple[float, list[tuple[int, "Detection"]]]:
-    """Pooled detection mAP over a corpus.
+    """Pooled detection mAP over a corpus, detected on its token labels.
 
     Per-sequence intervals are offset far apart on a shared timeline so one
     matching pass scores the whole corpus without cross-sequence overlap.
     """
+    _, frame_actons = tokenize_threaded(eval_split, weights, lexicon, threads)
     all_dets, all_truth, out_rows = [], [], []
     gap = max(s.frames for s in eval_split.sequences) + 1
-    for sid, (seq, labels) in enumerate(zip(eval_split.sequences,
-                                            eval_split.frame_labels)):
+    for sid, (actons, labels) in enumerate(zip(frame_actons, eval_split.frame_labels)):
         off = sid * gap
-        dets = detect(seq, weights, lexicon, cmap, scales,
-                      stride=stride, nms_iou=nms_iou)
-        for d in dets:
+        for d in detect(actons, cmap, scales, stride=stride, nms_iou=nms_iou):
             all_dets.append((d.class_id, d.start + off, d.end + off, d.confidence))
             out_rows.append((sid, d))
         all_truth.extend((c, s + off, e + off) for c, s, e in truth_intervals(labels))
@@ -437,7 +447,7 @@ def cmd_detect(config: PipelineConfig, corpus_dir: Path, ckpt: Path, lex_path: P
     score, out_rows = corpus_detection_map(
         eval_split, weights, lexicon, cmap, scales,
         stride=config.detection.stride, nms_iou=config.detection.nms_iou,
-        theta=config.detection.map_theta)
+        theta=config.detection.map_theta, threads=config.threads)
     with open(out_path, "w") as fh:
         for line in _header(config, {"map_theta": config.detection.map_theta,
                                      "mAP": f"{score:.6g}"}):

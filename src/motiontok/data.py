@@ -213,17 +213,36 @@ def save_corpus(corpus: LabeledCorpus, directory: str | Path) -> Path:
     return directory
 
 
+def _check_manifest(manifest, path: Path) -> None:
+    """labels.json rule: an object holding an integer primitive_count >= 1 and
+    a labels object that maps plain *.skseq file names to integer lists."""
+    if not isinstance(manifest, dict):
+        raise HeaderError(f"{path}: not a JSON object")
+    count = manifest.get("primitive_count")
+    if type(count) is not int or count < 1:
+        raise HeaderError(f"{path}: primitive_count must be an integer >= 1, got {count!r}")
+    labels = manifest.get("labels")
+    if not isinstance(labels, dict):
+        raise HeaderError(f"{path}: labels must be an object, got {type(labels).__name__}")
+    for name, values in labels.items():
+        if Path(name).name != name or Path(name).suffix != BINARY_EXT:
+            raise HeaderError(f"{path}: {name!r} is not a plain *{BINARY_EXT} file name")
+        if not isinstance(values, list) or any(type(v) is not int for v in values):
+            raise HeaderError(f"{path}: the labels of {name} are not a list of integers")
+
+
 def load_corpus(directory: str | Path) -> LabeledCorpus:
-    directory = Path(directory)
-    manifest = json.loads((directory / LABEL_FILE).read_text())
+    path = Path(directory) / LABEL_FILE
+    manifest = json.loads(path.read_text())
+    _check_manifest(manifest, path)
     sequences, frame_labels = [], []
     for name in sorted(manifest["labels"]):
-        sequences.append(load_sequence(directory / name))
+        sequences.append(load_sequence(path.parent / name))
         frame_labels.append(np.asarray(manifest["labels"][name], dtype=np.int64))
     return LabeledCorpus(
         sequences=sequences,
         frame_labels=frame_labels,
-        primitive_count=int(manifest["primitive_count"]),
+        primitive_count=manifest["primitive_count"],
     )
 
 

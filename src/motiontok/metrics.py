@@ -103,18 +103,16 @@ def ngram_entropy(streams, n: int) -> tuple[float, float]:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    symbol_streams = _as_symbol_streams(streams)
-    longest = max((len(s) for s in symbol_streams), default=0)
-    if longest < n:
-        raise ValueError(f"need a stream of at least {n} tokens, the longest has {longest}")
-    k_n = _block_entropy(symbol_streams, n)
-    k_prev = _block_entropy(symbol_streams, n - 1) if n > 1 else 0.0
-    return k_n, k_n - k_prev
+    rows = entropy_table(streams, n)
+    if len(rows) < n:  # the table stops at the longest stream
+        raise ValueError(f"need a stream of at least {n} tokens, the longest has {len(rows)}")
+    _, k_n, f_n = rows[-1]
+    return k_n, f_n
 
 
 def entropy_table(streams, n_max: int) -> list[tuple[int, float, float]]:
     """(N, K_N, F_N) rows for N = 1..n_max on empirical streams, stopping at
-    the longest stream: as in ngram_entropy, a row needs one stream of N tokens."""
+    the longest stream: a row needs one stream of N tokens."""
     symbol_streams = _as_symbol_streams(streams)
     longest = max((len(s) for s in symbol_streams), default=0)
     rows = []

@@ -16,12 +16,12 @@ from .data import (FORMAT_VERSION, HeaderError, SkeletonSequence, encode_contain
 
 @dataclass(frozen=True)
 class TanConfig:
+    """Encoder shape and training crop length, all stored in the checkpoint header."""
+
     hidden_dim: int = 512
     encoder_layers: int = 3
     attention_heads: int = 8
-    ffn_dim: int | None = None  # defaults to 2 * hidden_dim
     projection_dim: int = 128
-    temperature: float = 0.1
     sequence_length: int = 64
 
     def __post_init__(self):
@@ -32,10 +32,6 @@ class TanConfig:
             raise ValueError(
                 f"hidden_dim {self.hidden_dim} not divisible by heads {self.attention_heads}"
             )
-        if not self.temperature > 0:
-            raise ValueError("temperature must be positive")
-        if self.ffn_dim is None:
-            object.__setattr__(self, "ffn_dim", 2 * self.hidden_dim)
 
 
 @dataclass
@@ -59,8 +55,9 @@ class TanWeights:
 
 
 def _weight_shapes(config: TanConfig, joints: int) -> dict[str, tuple[int, ...]]:
-    """Name and shape of every learnable tensor, in init and checkpoint order."""
-    h, ffn, f = config.hidden_dim, config.ffn_dim, config.projection_dim
+    """Name and shape of every learnable tensor, in init and checkpoint order.
+    Every feed-forward block is 2 * hidden_dim wide."""
+    h, ffn, f = config.hidden_dim, 2 * config.hidden_dim, config.projection_dim
     shapes: dict[str, tuple[int, ...]] = {}
 
     def linear(name: str, fan_in: int, fan_out: int):

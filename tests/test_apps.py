@@ -3,6 +3,7 @@ import pytest
 
 from motiontok.apps import (
     BACKGROUND_CLASS,
+    ActonClassMap,
     Detection,
     build_instance_library,
     compose,
@@ -11,8 +12,8 @@ from motiontok.apps import (
     nms,
     sample_instance,
 )
-from motiontok.data import SkeletonSequence, generate_synthetic_corpus
-from motiontok.lexicon import Lexicon, build_lexicon, tokenize_corpus
+from motiontok.data import generate_synthetic_corpus
+from motiontok.lexicon import build_lexicon, tokenize_corpus
 from motiontok.metrics import temporal_iou
 from motiontok.tan import TanConfig, init_weights
 
@@ -78,40 +79,51 @@ class TestNms:
 
 
 def _uniform_setup(t=20):
-    """Weights + lexicon + map under which every frame becomes acton 0 -> class 3."""
-    seq = SkeletonSequence(data=np.random.default_rng(0).normal(size=(t, 3, 3)),
-                           fps=30.0)
-    weights = init_weights(TINY, joints=3, seed=0)
-    cents = np.full((2, TINY.projection_dim), 50.0)
-    cents[0] = 0.0  # projections live on the unit sphere, all nearest centroid 0
-    lexicon = Lexicon(centroids=cents, metadata={"feature_space": "projection"})
+    """Frame acton labels that are all acton 0, and a map sending acton 0 to class 3."""
     cmap = learn_acton_class_map([np.zeros(4, dtype=int)], [np.full(4, 3)],
                                  acton_count=2)
-    return seq, weights, lexicon, cmap
+    return np.zeros(t, dtype=np.int64), cmap
 
 
 class TestDetect:
     def test_uniform_mapping_single_full_window(self):
-        seq, weights, lexicon, cmap = _uniform_setup(t=20)
-        dets = detect(seq, weights, lexicon, cmap, window_scales=[20])
+        actons, cmap = _uniform_setup(t=20)
+        dets = detect(actons, cmap, window_scales=[20])
         assert dets == [Detection(3, 0, 20, 1.0)]
 
     def test_oversized_scale_skipped_with_warning(self):
-        seq, weights, lexicon, cmap = _uniform_setup(t=10)
+        actons, cmap = _uniform_setup(t=10)
         with pytest.warns(UserWarning, match="exceeds"):
-            dets = detect(seq, weights, lexicon, cmap, window_scales=[10, 99])
+            dets = detect(actons, cmap, window_scales=[10, 99])
         assert dets == [Detection(3, 0, 10, 1.0)]
 
+    def test_windows_follow_label_runs(self):
+        cmap = ActonClassMap(classes=np.array([3, 5, BACKGROUND_CLASS]),
+                             agreement=np.ones(3))
+        actons = np.array([0] * 8 + [1] * 6 + [2] * 2)
+        dets = detect(actons, cmap, window_scales=[8], stride=8)
+        assert dets == [Detection(3, 0, 8, 1.0), Detection(5, 8, 16, 0.75)]
+
     def test_deterministic(self):
-        seq, weights, lexicon, cmap = _uniform_setup(t=24)
-        a = detect(seq, weights, lexicon, cmap, [8, 12], stride=2)
-        b = detect(seq, weights, lexicon, cmap, [8, 12], stride=2)
+        actons = np.random.default_rng(3).integers(0, 2, size=24)
+        _, cmap = _uniform_setup()
+        a = detect(actons, cmap, [8, 12], stride=2)
+        b = detect(actons, cmap, [8, 12], stride=2)
         assert a == b
 
     def test_stride_validation(self):
-        seq, weights, lexicon, cmap = _uniform_setup(t=10)
+        actons, cmap = _uniform_setup(t=10)
         with pytest.raises(ValueError):
-            detect(seq, weights, lexicon, cmap, [5], stride=0)
+            detect(actons, cmap, [5], stride=0)
+
+    @pytest.mark.parametrize("actons", [np.zeros((2, 5), dtype=int), np.zeros(5),
+                                        np.array([0, -1, 0]), np.array([0, 2, 1]),
+                                        np.zeros(0, dtype=int)],
+                             ids=["2d", "float", "negative", "beyond-k", "empty"])
+    def test_bad_frame_actons_rejected(self, actons):
+        _, cmap = _uniform_setup()
+        with pytest.raises(ValueError, match=r"acton ids in \[0, 2\)"):
+            detect(actons, cmap, [2])
 
 
 @pytest.fixture(scope="module")

@@ -100,17 +100,17 @@ OVERRIDDEN = {
     "composition": {"words": 5, "blend_frames": 3},
 }
 
-# Config digests pinned before the fixed training settings (weight decay,
-# gradient clip, TCN and TCC settings) left TrainConfig: every config must
-# still build exactly as it did, apart from those keys.
+# Config digests of every profile and benchmark workload. Each config is the
+# one built before the fixed training settings left TrainConfig and before
+# ffn_dim and temperature left TanConfig, minus those keys.
 CONFIG_PINS = {
-    "desk": "1a2ea6ecf568",
-    "paper": "8b27a446adc9",
-    "overridden": "1ffd643cbc7d",
-    "bench_desk": "9118145d29a9",
-    "bench_wide": "33385bfc1536",
-    "bench_sweep": "2cbff01cbea5",
-    "bench_tiny": "2a6744977dd7",
+    "desk": "f7fc3d2ff487",
+    "paper": "578ede4f928a",
+    "overridden": "a0e93dba4164",
+    "bench_desk": "bc7c80439083",
+    "bench_wide": "36d5e0e962ba",
+    "bench_sweep": "33039554777a",
+    "bench_tiny": "5f2c60fde0da",
 }
 
 
@@ -233,6 +233,30 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             make_config("desk", overrides={section: {key: value}})
 
+    @pytest.mark.parametrize("key,value,match", [
+        ("seed", "x", "seed must be an integer >= 0, got 'x'"),
+        ("seed", -1, "seed must be an integer >= 0, got -1"),
+        ("threads", -3, "threads must be an integer >= 1, got -3"),
+    ])
+    def test_top_level_rule_rejected(self, key, value, match):
+        with pytest.raises(ValueError, match=match):
+            make_config("desk", overrides={key: value})
+
+    def test_threads_flag_zero_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="threads must be an integer >= 1, got 0"):
+            run(["--threads", "0", "gen-synth", "--out", str(tmp_path / "corpus")])
+        assert not (tmp_path / "corpus").exists()
+
+    def test_config_file_not_an_object_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match="must hold a JSON object, got list"):
+            load_config(path)
+
+    def test_section_not_an_object_rejected(self):
+        with pytest.raises(ValueError, match="config section 'tan' must be an object, got int"):
+            make_config("desk", overrides={"tan": 5})
+
     def test_option_bounds_accepted(self):
         config = make_config("desk", overrides={
             "synth": {"pose_spread": 0.0},
@@ -313,6 +337,22 @@ class TestCommands:
         assert 0.0 <= score <= 1.0
         text = (root / "dets.tsv").read_text()
         assert "# mAP=" in text or "# map_theta=" in text
+
+    def test_detect_threads_do_not_change_output(self, pipeline, monkeypatch):
+        config, corpus_dir, ckpt, lex, root = pipeline
+        import dataclasses
+        threaded = dataclasses.replace(config, threads=2)
+        cmd_detect(config, corpus_dir, ckpt, lex, root / "dets1.tsv")
+        original, pools = cli_module.tokenize_threaded, []
+
+        def recorded(corpus, weights, lexicon, threads=1):
+            pools.append(threads)
+            return original(corpus, weights, lexicon, threads)
+
+        monkeypatch.setattr(cli_module, "tokenize_threaded", recorded)
+        cmd_detect(threaded, corpus_dir, ckpt, lex, root / "dets2.tsv")
+        assert pools == [2, 2]  # the train split, then the eval split
+        assert (root / "dets1.tsv").read_text() == (root / "dets2.tsv").read_text()
 
     def test_corpus_detections_pinned(self):
         # untrained tiny encoder: the pin covers tokenization, the class map,

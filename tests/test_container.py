@@ -80,10 +80,11 @@ def _edit_header(raw: bytes, edit) -> bytes:
 
 
 class TestLayout:
-    # sizes and sha256 prefixes of the files the original per-format writers
-    # produced for each Fmt.make(); old files must keep loading and
-    # checkpoint digests must not move
-    GOLDEN = {"skelseq": (174, "38e205419c9d8872"), "checkpoint": (7921, "528d10680198d10f"),
+    # sizes and sha256 prefixes of the files each Fmt.make() saves to. The
+    # skelseq and lexicon bytes are those of the original per-format writers;
+    # the checkpoint's header lost TanConfig's ffn_dim and temperature keys
+    # (35 bytes) and its payload is pinned on its own below
+    GOLDEN = {"skelseq": (174, "38e205419c9d8872"), "checkpoint": (7886, "8ddbfa5fc00525e1"),
               "lexicon": (209, "542e3705780afcc1")}
 
     @by_format
@@ -214,6 +215,15 @@ def test_inconsistent_header(tmp_path, fmt, edit, error):
     path.write_bytes(_edit_header(raw, edit))
     with pytest.raises(error):
         fmt.load(path)
+
+
+@pytest.mark.parametrize("key,value", [("temperature", 0.1), ("ffn_dim", 16)])
+def test_checkpoint_with_removed_config_key_rejected(tmp_path, key, value):
+    # checkpoints written while TanConfig still carried these fields do not load
+    _, path, raw = _saved(tmp_path, CHECKPOINT)
+    path.write_bytes(_edit_header(raw, _set_config(key, value)))
+    with pytest.raises(HeaderError, match=key):
+        load_checkpoint(path)
 
 
 def _set_meta(key, value):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -168,3 +170,58 @@ class TestCorpusIO:
         with pytest.raises(ValueError):
             LabeledCorpus(sequences=[seq], frame_labels=[np.full(4, 5)],
                           primitive_count=2)
+
+
+class TestCorpusManifest:
+    """labels.json is refused with HeaderError before any sequence is read."""
+
+    def _load_edited(self, tmp_path, edit):
+        root = save_corpus(generate_synthetic_corpus(2, 2, 2, 8, seed=2), tmp_path / "c")
+        manifest = json.loads((root / "labels.json").read_text())
+        (root / "labels.json").write_text(json.dumps(edit(manifest)))
+        return load_corpus(root)
+
+    def test_not_an_object(self, tmp_path):
+        with pytest.raises(HeaderError, match="not a JSON object"):
+            self._load_edited(tmp_path, lambda m: list(m.items()))
+
+    @pytest.mark.parametrize("count", [None, 2.7, 0, "3", True])
+    def test_bad_primitive_count(self, tmp_path, count):
+        def edit(m):
+            m.pop("primitive_count")
+            return m if count is None else {**m, "primitive_count": count}
+
+        with pytest.raises(HeaderError, match="primitive_count must be an integer >= 1"):
+            self._load_edited(tmp_path, edit)
+
+    def test_labels_not_an_object(self, tmp_path):
+        with pytest.raises(HeaderError, match="labels must be an object, got list"):
+            self._load_edited(tmp_path, lambda m: {**m, "labels": list(m["labels"].values())})
+
+    @pytest.mark.parametrize("name", ["../outside.skseq", "sub/seq_0000.skseq",
+                                      "seq_0000.skseq.json", "seq_0000.txt", ".skseq"])
+    def test_entry_not_a_plain_skseq_name(self, tmp_path, name):
+        # a file that exists outside the corpus directory must not be read
+        save_sequence(_seq(t=8), tmp_path / "outside.skseq")
+
+        def edit(m):
+            labels = m["labels"]
+            labels[name] = labels.pop("seq_0001.skseq")
+            return m
+
+        with pytest.raises(HeaderError, match="is not a plain"):
+            self._load_edited(tmp_path, edit)
+
+    # (frame, value): one frame's label, or the whole entry where frame is None
+    @pytest.mark.parametrize("frame,value", [(3, 0.5), (3, 1.0), (3, "1"), (3, True),
+                                             (3, None), (None, 3)])
+    def test_labels_not_integers(self, tmp_path, frame, value):
+        def edit(m):
+            if frame is None:
+                m["labels"]["seq_0000.skseq"] = value
+            else:
+                m["labels"]["seq_0000.skseq"][frame] = value
+            return m
+
+        with pytest.raises(HeaderError, match="seq_0000.skseq are not a list of integers"):
+            self._load_edited(tmp_path, edit)

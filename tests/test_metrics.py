@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from motiontok import metrics as metrics_module
 from motiontok.lexicon import segment
 from motiontok.metrics import (
     MetricsReport,
@@ -134,13 +135,24 @@ class TestNgramEntropy:
         assert k1 == pytest.approx(-(2 / 3) * np.log2(2 / 3) - (1 / 3) * np.log2(1 / 3))
 
     def test_insufficient_tokens(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^need a stream of at least 2 tokens, "
+                                             "the longest has 1$"):
             ngram_entropy([[1]], 2)
 
     def test_no_stream_long_enough(self):
         # two tokens in total, but no stream holds a bigram: F_2 is undefined
         with pytest.raises(ValueError, match="at least 2 tokens"):
             ngram_entropy([segment(np.zeros(5, int)), segment(np.ones(4, int))], 2)
+
+    def test_equals_the_two_block_entropies(self):
+        # the direct form ngram_entropy had before it read entropy_table's last
+        # row: K_N and K_N - K_{N-1} from the same block counts, to the bit
+        rng = np.random.default_rng(8)
+        streams = [rng.integers(0, 5, size=size).tolist() for size in (40, 7, 1, 19)]
+        for n in range(1, 6):
+            k_n = metrics_module._block_entropy(streams, n)
+            k_prev = metrics_module._block_entropy(streams, n - 1) if n > 1 else 0.0
+            assert ngram_entropy(streams, n) == (k_n, k_n - k_prev)
 
     def test_table_stops_at_longest_stream(self):
         # no stream holds a trigram: the table ends at N = 2, like ngram_entropy

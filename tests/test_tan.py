@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -33,11 +34,21 @@ class TestConfig:
             TanConfig(hidden_dim=10, attention_heads=4)
 
     def test_ffn_defaults_to_twice_hidden(self):
-        assert TanConfig(hidden_dim=32, attention_heads=4).ffn_dim == 64
+        w = init_weights(TanConfig(hidden_dim=32, encoder_layers=2, attention_heads=4), 3, 0)
+        for i in range(2):
+            assert w.tensors[f"enc{i}.ffn.fc1.w"].shape == (32, 64)
+            assert w.tensors[f"enc{i}.ffn.fc2.w"].shape == (64, 32)
 
-    def test_temperature_positive(self):
-        with pytest.raises(ValueError):
-            TanConfig(temperature=0.0)
+    def test_fields_are_the_weight_shapes_and_crop_length(self):
+        assert [f.name for f in dataclasses.fields(TanConfig)] == [
+            "hidden_dim", "encoder_layers", "attention_heads", "projection_dim",
+            "sequence_length"]
+
+    @pytest.mark.parametrize("key", ["temperature", "ffn_dim"])
+    def test_removed_field_rejected(self, key):
+        # training reads train.temperature; the FFN width is 2 * hidden_dim
+        with pytest.raises(TypeError, match=key):
+            TanConfig(**{key: 64})
 
 
 class TestPositionalEncoding:

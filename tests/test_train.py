@@ -375,9 +375,9 @@ class TestTrainLoop:
     # loss kind -> (checkpoint digest, payload digest). The payload digest
     # covers the weight bytes alone, so it holds when only the header changes.
     TRAINED_PINS = {
-        "tan": ("e10fd8457e6a2863", "4507cb958e1f9802"),
-        "tcc": ("9c207075334724bb", "e2a5a67dc2b17b3e"),
-        "tcn": ("1051b5c7a9534c11", "b7a607a9598a3ebb"),
+        "tan": ("c60905a7bbc1b8c1", "4507cb958e1f9802"),
+        "tcc": ("c3df981fb8415430", "e2a5a67dc2b17b3e"),
+        "tcn": ("ed8f64cacae6b47a", "b7a607a9598a3ebb"),
     }
 
     @pytest.mark.parametrize("loss_kind,layers,batch", [
