@@ -1,13 +1,16 @@
+import copy
 import gc
+import hashlib
 import weakref
 
 import numpy as np
 import pytest
 
 from motiontok import autodiff as ad
+from motiontok.augment import match_frames
 from motiontok.autodiff import Tensor
 from motiontok.data import LabeledCorpus, generate_synthetic_corpus
-from motiontok.tan import TanConfig, save_checkpoint, weights_digest
+from motiontok.tan import TanConfig, init_weights, save_checkpoint, weights_digest
 from motiontok.train import (
     ALL_FRAMES,
     EXCLUDE_SAME_CLIP,
@@ -18,7 +21,7 @@ from motiontok.train import (
     tcn_loss,
     train_tan,
 )
-from testkit import grad_check, payload_digest
+from testkit import grad_check, payload_digest, reference_step_gradients
 
 TINY_TAN = TanConfig(hidden_dim=16, encoder_layers=1, attention_heads=2,
                      projection_dim=8, sequence_length=12)
@@ -59,7 +62,35 @@ def _unit(v):
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
+def _pinned_batch():
+    """Three clips whose views differ in length, with the correspondences
+    augment.match_frames gives (unique anchor rows and positive columns)."""
+    rng = np.random.default_rng(77)
+    shapes = [(9, 1.0, 12, 0.75), (14, 0.5, 7, 1.0), (11, 1.0, 11, 1.0)]
+    va = [_unit(rng.normal(size=(ta, 6))) for ta, _, _, _ in shapes]
+    vb = [_unit(rng.normal(size=(tb, 6))) for _, _, tb, _ in shapes]
+    return va, vb, [match_frames(*s) for s in shapes]
+
+
 class TestFrameNtXent:
+    # sha256 prefix of the loss value followed by its gradient with respect
+    # to every view, A views first
+    PINS = {
+        ALL_FRAMES: "400954d91b07b139",
+        EXCLUDE_SAME_CLIP: "91dc5a33cab57276",
+    }
+
+    @pytest.mark.parametrize("mode", [ALL_FRAMES, EXCLUDE_SAME_CLIP])
+    def test_value_and_gradients_pinned(self, mode):
+        va, vb, corr = _pinned_batch()
+        views = [ad.parameter(v) for v in va + vb]
+        loss = frame_nt_xent(views[:3], views[3:], corr, mode=mode, tau=0.1)
+        ad.backward(loss)
+        blob = hashlib.sha256(loss.values.tobytes())
+        for v in views:
+            blob.update(v.grad.tobytes())
+        assert blob.hexdigest()[:16] == self.PINS[mode]
+
     def test_closed_form_single_negative(self):
         # positive similarity 1, one opposite-view negative at similarity -1
         e0 = np.array([1.0, 0.0])
@@ -396,6 +427,47 @@ class TestTrainLoop:
         digest, payload = self.TRAINED_PINS[loss_kind]
         assert payload_digest(save_checkpoint(w, tmp_path / "w.tan").read_bytes()) == payload
         assert weights_digest(w) == digest
+
+    @pytest.mark.parametrize("loss_kind,layers,batch", [
+        ("tan", 2, 4),
+        ("tcc", 2, 2),
+        ("tcn", 1, 4),
+    ])
+    def test_step_gradients_match_per_clip_reference(self, corpus, monkeypatch, loss_kind,
+                                                      layers, batch):
+        # every step's gradients, before clipping, against the same step
+        # computed clip by clip from the same weights, views and generator
+        from motiontok import train as train_module
+        make, clip = train_module.make_view_pair, train_module.clip_gradients
+        pairs, after_views, steps = [], [], []
+
+        def making(seq, rng, ranges):
+            pairs.append(make(seq, rng, ranges))
+            after_views[:] = [copy.deepcopy(rng)]
+            return pairs[-1]
+
+        def clipping(weights, max_norm):
+            steps.append(({n: t.values.copy() for n, t in weights.tensors.items()},
+                          {n: t.grad.copy() for n, t in weights.tensors.items()},
+                          pairs[:], after_views[0]))
+            pairs.clear()
+            return clip(weights, max_norm)
+
+        monkeypatch.setattr(train_module, "make_view_pair", making)
+        monkeypatch.setattr(train_module, "clip_gradients", clipping)
+        tan_config = TanConfig(hidden_dim=16, encoder_layers=layers, attention_heads=2,
+                               projection_dim=8, sequence_length=12)
+        cfg = self._cfg(2, batch_size=batch)
+        train_tan(corpus, tan_config, cfg, loss_kind=loss_kind)
+        assert len(steps) == 2 * (8 // batch)
+        for values, grads, step_pairs, rng in steps:
+            weights = init_weights(tan_config, corpus.sequences[0].joints, cfg.seed)
+            for name, t in weights.tensors.items():
+                t.values[...] = values[name]
+            ref = reference_step_gradients(weights, step_pairs, loss_kind, cfg, rng)
+            for name, g in grads.items():
+                scale = np.abs(ref[name]).max()
+                assert np.abs(g - ref[name]).max() <= 1e-10 * scale, name
 
     def test_loss_decreases_over_training(self, corpus):
         _, history = train_tan(corpus, TINY_TAN, self._cfg(6))

@@ -11,6 +11,7 @@ here rather than in `motiontok`.
 - `IDENTITY_RANGES`: augmentation ranges that leave a clip unchanged.
 - `load_perfbench`: a module of the benchmark harness, imported from its file.
 - `payload_digest`: the sha256 prefix of a container file's bytes after its header line.
+- `reference_step_gradients`: one training step's gradients, computed clip by clip.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from motiontok import autodiff as ad
 from motiontok.augment import AugmentRanges
 from motiontok.data import SkeletonSequence, center_normalize_frames
 from motiontok.metrics import entropy_table
+from motiontok.tan import encode, project
 
 IDENTITY_RANGES = AugmentRanges(translation_range=0.0, rotation_range_deg=0.0, speed_max=1.0)
 
@@ -44,6 +46,31 @@ def payload_digest(raw: bytes) -> str:
     """sha256 prefix of a container file's array bytes, the part after the
     JSON header line: it pins the stored numbers whatever the header holds."""
     return hashlib.sha256(raw.split(b"\n", 1)[1]).hexdigest()[:16]
+
+
+def reference_step_gradients(weights, pairs, loss_kind: str, train_config,
+                             rng: np.random.Generator) -> dict[str, np.ndarray]:
+    """Per-parameter gradients of one training step on the view pairs `pairs`,
+    with every view sent through `encode` and `project` on its own and the
+    per-clip views handed to the step's loss, as `train_tan` did before it
+    packed a step's views into one matrix. rng feeds the TCN sampling, so
+    it must be in the state `train_tan`'s step generator has after the views
+    are drawn."""
+    from motiontok import train
+    weights.zero_grad()
+    va = [ad.slice_tensor(project(encode(p.view_a.flat(), weights), weights), (0,)) for p in pairs]
+    vb = [ad.slice_tensor(project(encode(p.view_b.flat(), weights), weights), (0,)) for p in pairs]
+    if loss_kind == "tan":
+        loss = train.frame_nt_xent(va, vb, [p.correspondences for p in pairs],
+                                   mode=train_config.negative_mode, tau=train_config.temperature)
+    else:
+        if loss_kind == "tcn":
+            items = [train.tcn_loss(a, b, train.TCN_ANCHORS, rng) for a, b in zip(va, vb)]
+        else:
+            items = [train.tcc_loss(a, b) for a, b in zip(va, vb)]
+        loss = ad.mean(ad.concat([ad.reshape(x, (1,)) for x in items], axis=0))
+    ad.backward(loss)
+    return {name: t.grad.copy() for name, t in weights.tensors.items()}
 
 
 def grad_check(f, x: ad.Tensor, eps: float = 1e-4) -> float:
