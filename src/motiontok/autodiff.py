@@ -461,6 +461,55 @@ def masked_logsumexp(a, mask: np.ndarray, axis: int = -1) -> Tensor:
     return _result(out_values, (a,), "masked_logsumexp", bwd)
 
 
+def nt_xent(sim, anchors, positives, mask_ab, mask_ba) -> Tensor:
+    """Symmetric NT-Xent loss (Chen et al. 2020) as one node, from the scaled
+    similarity matrix sim (Ma, Mb) to the mean over 2P terms.
+
+    Pair i scores row anchors[i] of sim against its positive column
+    positives[i] over the entries mask_ab[i] (P, Mb) allows, and column
+    positives[i] against its positive row anchors[i] over the entries mask_ba[i]
+    (P, Ma) allows: each term is the max-shifted masked logsumexp minus the
+    positive entry. anchors and positives must each hold distinct indices, so
+    the backward, (masked softmax - one-hot) * g / 2P per direction, is
+    written into its rows and columns by plain index arithmetic.
+    """
+    sim = as_tensor(sim)
+    anchors = np.asarray(anchors, dtype=np.int64)
+    positives = np.asarray(positives, dtype=np.int64)
+    p = anchors.shape[0]
+    if (sim.values.ndim != 2 or positives.shape != (p,)
+            or mask_ab.shape != (p, sim.shape[1]) or mask_ba.shape != (p, sim.shape[0])):
+        raise ShapeError(f"nt_xent: sim {sim.shape}, {p} anchors, {positives.shape} positives, "
+                         f"masks {mask_ab.shape}/{mask_ba.shape}")
+    if np.unique(anchors).size != p or np.unique(positives).size != p:
+        raise ValueError("nt_xent: anchors and positives must each be distinct")
+    picked = np.arange(p)
+
+    def direction(rows_of, targets, mask):
+        rows = rows_of[targets[0]]
+        neg_inf = np.where(mask, rows, -np.inf)
+        m = neg_inf.max(axis=1, keepdims=True)
+        lse = (m + np.log(np.exp(neg_inf - m).sum(axis=1, keepdims=True))).squeeze(1)
+        return lse - rows[picked, targets[1]], neg_inf, lse
+
+    terms_ab, neg_ab, lse_ab = direction(sim.values, (anchors, positives), mask_ab)
+    terms_ba, neg_ba, lse_ba = direction(sim.values.T, (positives, anchors), mask_ba)
+    n = 2 * p
+
+    def bwd(g):
+        if not sim.requires_grad:
+            return
+        scale = g / n
+        buf = _grad_buffer(sim)
+        for view, rows, cols, neg_inf, lse in ((buf, anchors, positives, neg_ab, lse_ab),
+                                               (buf.T, positives, anchors, neg_ba, lse_ba)):
+            grad = scale * np.exp(neg_inf - lse[:, None])
+            grad[picked, cols] -= scale
+            view[rows] += grad
+
+    return _result(np.concatenate([terms_ab, terms_ba]).mean(), (sim,), "nt_xent", bwd)
+
+
 def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor | np.ndarray:
     """Normalize over the last axis to mean 0 / variance 1, then apply the
     per-feature affine. The variance is floored at eps (not shifted by it), so

@@ -52,17 +52,13 @@ class TrainConfig:
             raise ValueError(f"unknown negative_mode {self.negative_mode!r}")
 
 
-def _direction_loss(sim: Tensor, anchor_rows: np.ndarray, positive_cols: np.ndarray,
-                    anchor_clip: np.ndarray, col_clip: np.ndarray, mode: str) -> Tensor:
-    """Per-anchor -log softmax terms for one view direction.
-
-    sim: (Ma, Mb) scaled similarities; each anchor row is scored against its
-    positive column plus the mode's negative columns.
-    """
-    rows = ad.take_rows(sim, anchor_rows)
-    p, m_b = rows.shape
+def _denominator_mask(positive_cols: np.ndarray, anchor_clip: np.ndarray,
+                      col_clip: np.ndarray, mode: str) -> np.ndarray:
+    """(P, M) entries of the opposite view in each anchor's softmax
+    denominator: its positive plus the mode's negative columns."""
+    p, m = positive_cols.shape[0], col_clip.shape[0]
     if mode == ALL_FRAMES:
-        denom_mask = np.ones((p, m_b), dtype=bool)
+        denom_mask = np.ones((p, m), dtype=bool)
         negatives = denom_mask.copy()
         negatives[np.arange(p), positive_cols] = False
     else:
@@ -74,11 +70,7 @@ def _direction_loss(sim: Tensor, anchor_rows: np.ndarray, positive_cols: np.ndar
             "empty negative set for a reference frame; exclude_same_clip needs "
             "batch_size >= 2 clips"
         )
-    pos_onehot = np.zeros((p, m_b))
-    pos_onehot[np.arange(p), positive_cols] = 1.0
-    lse = ad.masked_logsumexp(rows, denom_mask, axis=1)
-    pos = ad.tensor_sum(ad.mul(rows, Tensor(pos_onehot)), axis=1)
-    return ad.sub(lse, pos)
+    return denom_mask
 
 
 def frame_nt_xent(v_a, v_b, correspondences: list[list[tuple[int, int]]],
@@ -112,11 +104,9 @@ def frame_nt_xent(v_a, v_b, correspondences: list[list[tuple[int, int]]],
     big_a = ad.concat(views_a, axis=0)
     big_b = ad.concat(views_b, axis=0)
     sim_ab = ad.scalar_mul(ad.matmul(big_a, ad.transpose(big_b)), 1.0 / tau)
-    sim_ba = ad.transpose(sim_ab)
-
-    terms_ab = _direction_loss(sim_ab, rows_a, cols_b, pair_clip, clip_of_b, mode)
-    terms_ba = _direction_loss(sim_ba, cols_b, rows_a, pair_clip, clip_of_a, mode)
-    return ad.mean(ad.concat([terms_ab, terms_ba], axis=0))
+    return ad.nt_xent(sim_ab, rows_a, cols_b,
+                      _denominator_mask(cols_b, pair_clip, clip_of_b, mode),
+                      _denominator_mask(rows_a, pair_clip, clip_of_a, mode))
 
 
 def lr_at(step: int, config: TrainConfig, steps_per_epoch: int = 1) -> float:

@@ -148,6 +148,27 @@ class TestGradCheckOracle:
         assert err == 0.0
 
 
+# anchor rows and positive columns of a 5 x 6 similarity matrix; the rows
+# are frames of clips 0, 0, 1, 1, 2 and the columns of clips 0, 0, 0, 1, 2, 2
+_NT_XENT_PAIRS = (np.array([0, 1, 3, 4]), np.array([2, 0, 3, 5]))
+_NT_XENT_CLIPS = (np.array([0, 0, 1, 1, 2]), np.array([0, 0, 0, 1, 2, 2]))
+
+
+def _nt_xent_masks(exclude_same_clip: bool):
+    """Denominator masks of both directions: every entry, or the positive
+    and the other clips' frames."""
+    rows, cols = _NT_XENT_PAIRS
+    masks = []
+    for anchors, positives, own, other in ((rows, cols, *_NT_XENT_CLIPS),
+                                           (cols, rows, *_NT_XENT_CLIPS[::-1])):
+        mask = own[anchors][:, None] != other[None, :]
+        if not exclude_same_clip:
+            mask[:] = True
+        mask[np.arange(len(anchors)), positives] = True
+        masks.append(mask)
+    return masks
+
+
 def _catalog_cases():
     mk = _param
     w = _rand_weighting
@@ -199,6 +220,10 @@ def _catalog_cases():
         ("masked_logsumexp", lambda x: ad.tensor_sum(ad.mul(ad.masked_logsumexp(
             x, np.random.default_rng(25).random((3, 5)) > 0.3, axis=1),
             w((3,), 25))), (3, 5), None),
+        ("nt_xent_all_frames", lambda x: ad.nt_xent(
+            x, *_NT_XENT_PAIRS, *_nt_xent_masks(exclude_same_clip=False)), (5, 6), None),
+        ("nt_xent_exclude_same_clip", lambda x: ad.nt_xent(
+            x, *_NT_XENT_PAIRS, *_nt_xent_masks(exclude_same_clip=True)), (5, 6), None),
         ("linear_2d", lambda x: ad.tensor_sum(ad.mul(ad.linear(
             x, _rand_weighting((4, 5), 26), _rand_weighting((5,), 27)), w((3, 5), 26))),
          (3, 4), None),
@@ -305,6 +330,38 @@ class TestMaskedLogsumexp:
         out = ad.masked_logsumexp(x, np.ones((1, 3), dtype=bool), axis=1)
         assert np.isfinite(out.values).all()
         assert out.values[0] == pytest.approx(4000.0 + np.log(1 + np.exp(-10.0)))
+
+
+class TestNtXent:
+    def test_matches_composed_ops_bit_for_bit(self):
+        # the per-direction chain the op replaces: take_rows -> masked_logsumexp
+        # -> one-hot product -> sum -> sub, then the mean over both directions
+        sim0 = np.random.default_rng(41).normal(size=(5, 6)) * 4
+        (rows, cols), masks = _NT_XENT_PAIRS, _nt_xent_masks(exclude_same_clip=True)
+        results = []
+        for fused in (True, False):
+            sim = ad.parameter(sim0)
+            if fused:
+                loss = ad.nt_xent(sim, rows, cols, *masks)
+            else:
+                terms = []
+                for s, anchors, positives, mask in ((sim, rows, cols, masks[0]),
+                                                    (ad.transpose(sim), cols, rows, masks[1])):
+                    picked = ad.take_rows(s, anchors)
+                    onehot = np.zeros(picked.shape)
+                    onehot[np.arange(len(anchors)), positives] = 1.0
+                    terms.append(ad.sub(ad.masked_logsumexp(picked, mask, axis=1),
+                                        ad.tensor_sum(ad.mul(picked, Tensor(onehot)), axis=1)))
+                loss = ad.mean(ad.concat(terms, axis=0))
+            ad.backward(loss)
+            results.append((loss.values.tobytes(), sim.grad.tobytes()))
+        assert results[0] == results[1]
+
+    def test_repeated_anchor_rejected(self):
+        rows, cols = np.array([0, 0]), np.array([1, 2])
+        masks = np.ones((2, 3), dtype=bool), np.ones((2, 3), dtype=bool)
+        with pytest.raises(ValueError, match="distinct"):
+            ad.nt_xent(Tensor(np.zeros((3, 3))), rows, cols, *masks)
 
 
 class TestTopoOrder:
