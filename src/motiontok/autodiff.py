@@ -461,6 +461,102 @@ def masked_logsumexp(a, mask: np.ndarray, axis: int = -1) -> Tensor:
     return _result(out_values, (a,), "masked_logsumexp", bwd)
 
 
+def _segment_offsets(offsets, rows: int, name: str) -> np.ndarray:
+    o = np.asarray(offsets)
+    if (o.ndim != 1 or o.size < 2 or not np.issubdtype(o.dtype, np.integer) or o[0] != 0
+            or o[-1] != rows or (np.diff(o) < 1).any()):
+        raise ShapeError(f"attention: {name} must rise strictly from 0 to {rows}, got {o}")
+    return o.astype(np.int64)
+
+
+def _segment_rows(starts: np.ndarray, length: int):
+    """Rows starts[j] + [0, length) for every j, in order: a slice when the
+    segments lie back to back, else a flat index array."""
+    if (np.diff(starts) == length).all():
+        return slice(int(starts[0]), int(starts[0]) + starts.size * length)
+    return (starts[:, None] + np.arange(length)).reshape(-1)
+
+
+def attention(q, k, v, heads: int, q_offsets, kv_offsets) -> Tensor | np.ndarray:
+    """Scaled dot-product attention over variable-length segments, as one node.
+
+    q and k, v are (..., h) with their leading axes read as rows. Segment s
+    holds the query rows q_offsets[s]:q_offsets[s + 1] and attends over the
+    key and value rows kv_offsets[s]:kv_offsets[s + 1] only: the cu_seqlens
+    layout of FlashAttention-2's varlen kernels (Dao 2023). Segments with equal
+    (query, key) lengths form one group, and each group runs one batched
+    product for the scores and one for the context, with the heads folded
+    into the batch axis: (m, L, h) -> (m, heads, L, h / heads). When all
+    segments have equal lengths, these are the products of the plain batched
+    form over (segments, heads). Returns q's shape. The backward keeps the
+    groups' softmax probabilities and nothing else; they are the list `probs`
+    on the backward function.
+    """
+    graph = isinstance(q, Tensor) or isinstance(k, Tensor) or isinstance(v, Tensor)
+    if graph:
+        q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    h = q.shape[-1]
+    if k.shape != v.shape or k.shape[-1] != h or h % heads:
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}, {heads} heads")
+    qv, kv, vv = (q.values, k.values, v.values) if graph else (q, k, v)
+    q2, k2, v2 = qv.reshape(-1, h), kv.reshape(-1, h), vv.reshape(-1, h)
+    qo = _segment_offsets(q_offsets, q2.shape[0], "q_offsets")
+    ko = _segment_offsets(kv_offsets, k2.shape[0], "kv_offsets")
+    if qo.size != ko.size:
+        raise ShapeError(f"attention: {qo.size - 1} query and {ko.size - 1} key segments")
+    dh = h // heads
+    scale = float(1.0 / np.sqrt(dh))
+    sizes, group_of = np.unique(np.stack([np.diff(qo), np.diff(ko)], axis=1), axis=0,
+                                return_inverse=True)
+    groups = []  # (query rows, key rows, segment count) per group
+    for g, (a, b) in enumerate(sizes):
+        starts = np.flatnonzero(group_of.reshape(-1) == g)
+        groups.append((_segment_rows(qo[starts], a), _segment_rows(ko[starts], b), starts.size))
+
+    split = lambda x, m: np.transpose(x.reshape(m, -1, heads, dh), (0, 2, 1, 3))
+    merge = lambda x: np.transpose(x, (0, 2, 1, 3)).reshape(-1, h)
+    out = np.empty_like(q2) if len(groups) > 1 else None
+    probs = []
+    for rows_q, rows_k, m in groups:
+        scores = np.matmul(split(q2[rows_q], m), np.transpose(split(k2[rows_k], m), (0, 1, 3, 2)))
+        scores *= scale
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        attn = e / e.sum(axis=-1, keepdims=True)
+        ctx = merge(np.matmul(attn, split(v2[rows_k], m)))
+        if out is None:
+            out = ctx
+        else:
+            out[rows_q] = ctx
+        probs.append(attn)
+    out = out.reshape(q.shape)
+    if not graph:
+        return out
+
+    def bwd(g):
+        g2 = g.reshape(-1, h)
+        dq, dk, dv = (np.empty_like(x) if t.requires_grad else None
+                      for t, x in ((q, q2), (k, k2), (v, v2)))
+        for (rows_q, rows_k, m), attn in zip(groups, probs):
+            gc = split(g2[rows_q], m)
+            if dv is not None:
+                dv[rows_k] = merge(np.matmul(np.swapaxes(attn, -1, -2), gc))
+            if dq is None and dk is None:
+                continue
+            da = np.matmul(gc, np.swapaxes(split(v2[rows_k], m), -1, -2))
+            ds = attn * (da - (da * attn).sum(axis=-1, keepdims=True))
+            ds *= scale
+            if dq is not None:
+                dq[rows_q] = merge(np.matmul(ds, split(k2[rows_k], m)))
+            if dk is not None:
+                dk[rows_k] = merge(np.matmul(np.swapaxes(ds, -1, -2), split(q2[rows_q], m)))
+        for t, d in ((q, dq), (k, dk), (v, dv)):
+            if d is not None:
+                _accumulate(t, d.reshape(t.shape))
+
+    bwd.probs = probs
+    return _result(out, (q, k, v), "attention", bwd)
+
+
 def nt_xent(sim, anchors, positives, mask_ab, mask_ba) -> Tensor:
     """Symmetric NT-Xent loss (Chen et al. 2020) as one node, from the scaled
     similarity matrix sim (Ma, Mb) to the mean over 2P terms.

@@ -233,7 +233,10 @@ def _check_manifest(manifest, path: Path) -> None:
 
 def load_corpus(directory: str | Path) -> LabeledCorpus:
     path = Path(directory) / LABEL_FILE
-    manifest = json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise HeaderError(f"{path}: invalid JSON: {exc}") from exc
     _check_manifest(manifest, path)
     sequences, frame_labels = [], []
     for name in sorted(manifest["labels"]):

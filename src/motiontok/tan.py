@@ -121,56 +121,60 @@ def _mlp(x, p: dict, name: str):
     return _dense(ad.relu(_dense(x, p, name + ".fc1")), p, name + ".fc2")
 
 
-def _attend(q, k, v, heads: int, attn_sink: list | None):
-    """Scaled dot-product attention of q (n, r, h) over k, v (n, L, h), with
-    the heads folded into one batched product; returns (n, r, h). attn_sink
-    (Tensor operands only) receives one (n, r, L) weight array per head."""
-    n, r, h = q.shape
-    dh = h // heads
-    split = lambda a: ad.transpose(ad.reshape(a, (n, -1, heads, dh)), (0, 2, 1, 3))
-    scores = ad.scalar_mul(ad.matmul(split(q), ad.transpose(split(k), (0, 1, 3, 2))),
-                           1.0 / np.sqrt(dh))
-    attn = ad.softmax(scores, axis=-1)
-    if attn_sink is not None:
-        attn_sink.extend(np.moveaxis(attn.values, 1, 0))
-    return ad.reshape(ad.transpose(ad.matmul(attn, split(v)), (0, 2, 1, 3)), (n, r, h))
-
-
-def _layer(x_rows, q, k, v, p: dict, i: int, heads: int, attn_sink: list | None = None):
-    """Post-norm encoder layer i for the rows x_rows (n, r, h), whose queries
-    q (n, r, h) attend over the keys k and values v (n, L, h) of all L slots."""
+def _layer(x_rows, q, k, v, p: dict, i: int, heads: int, q_offsets, kv_offsets):
+    """Post-norm encoder layer i for the rows x_rows (..., h), whose queries
+    q attend over the keys k and values v of their own segment: segment s
+    holds the q rows q_offsets[s]:q_offsets[s + 1] and the k, v rows
+    kv_offsets[s]:kv_offsets[s + 1] (ad.attention)."""
     pre = f"enc{i}."
-    ctx = _attend(q, k, v, heads, attn_sink)
+    ctx = ad.attention(q, k, v, heads, q_offsets, kv_offsets)
     x = ad.layer_norm(ad.add(x_rows, _dense(ctx, p, pre + "attn.o")),
                       p[pre + "ln1.gamma"], p[pre + "ln1.beta"])
     return ad.layer_norm(ad.add(x, _mlp(x, p, pre + "ffn")),
                          p[pre + "ln2.gamma"], p[pre + "ln2.beta"])
 
 
-def encode(x, w: TanWeights, *, attn_sink: list | None = None) -> Tensor:
-    """Per-frame hidden features of a batch, with sinusoidal positions added.
+def encode(x, w: TanWeights, offsets=None) -> Tensor:
+    """Per-frame hidden features, with sinusoidal positions added.
 
-    x: (B, T, 3J) array/Tensor or a (T, 3J) single item; the temporal
-    resolution of the output matches the input exactly.
+    x: a (B, T, 3J) batch or a (T, 3J) single item, giving (B, T, h); or,
+    with offsets, (N, 3J) packed views, view s being the rows
+    offsets[s]:offsets[s + 1], giving (N, h). Every piece but attention runs
+    once over all rows; each view's rows get the positions 0, 1, ... of its
+    own and attend within the view only, so a row comes out as if its view
+    were encoded alone. The temporal resolution of the output matches the
+    input exactly.
     """
     if not isinstance(x, Tensor):
         x = Tensor(np.asarray(x, dtype=np.float64))
-    if x.values.ndim == 2:
-        x = ad.reshape(x, (1,) + x.shape)
-    if x.values.ndim != 3:
-        raise ShapeError(f"encode: expected (B, T, 3J), got {x.shape}")
-    if x.shape[2] != 3 * w.joints:
+    batch = None
+    if offsets is None:
+        if x.values.ndim == 2:
+            x = ad.reshape(x, (1,) + x.shape)
+        if x.values.ndim != 3:
+            raise ShapeError(f"encode: expected (B, T, 3J), got {x.shape}")
+        batch = x.shape[:2]
+        offsets = np.arange(batch[0] + 1) * batch[1]
+        x = ad.reshape(x, (-1, x.shape[2]))
+    elif x.values.ndim != 2:
+        raise ShapeError(f"encode: packed views must be (N, 3J), got {x.shape}")
+    if x.shape[1] != 3 * w.joints:
         raise ShapeError(
-            f"encode: input feature dim {x.shape[2]} does not match 3*J = {3 * w.joints}"
+            f"encode: input feature dim {x.shape[1]} does not match 3*J = {3 * w.joints}"
         )
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if (offsets.ndim != 1 or offsets.size < 2 or offsets[0] != 0
+            or offsets[-1] != x.shape[0] or (np.diff(offsets) < 1).any()):
+        raise ShapeError(f"encode: view offsets must rise strictly from 0 to {x.shape[0]}")
+    lengths = np.diff(offsets)
     t = w.tensors
     h = _mlp(x, t, "embed")
-    pe = positional_encoding(x.shape[1], w.config.hidden_dim)
-    h = ad.add(h, Tensor(np.broadcast_to(pe, h.shape).copy()))
+    slot = np.arange(x.shape[0]) - np.repeat(offsets[:-1], lengths)
+    h = ad.add(h, Tensor(positional_encoding(int(lengths.max()), w.config.hidden_dim)[slot]))
     for i in range(w.config.encoder_layers):
         q, k, v = (_dense(h, t, f"enc{i}.attn.{c}") for c in "qkv")
-        h = _layer(h, q, k, v, t, i, w.config.attention_heads, attn_sink)
-    return h
+        h = _layer(h, q, k, v, t, i, w.config.attention_heads, offsets, offsets)
+    return h if batch is None else ad.reshape(h, batch + (h.shape[-1],))
 
 
 def project(z: Tensor, w: TanWeights) -> Tensor:
@@ -203,8 +207,11 @@ def _encode_windows(e: np.ndarray, pe: np.ndarray, layer0: dict | None, frames: 
     slots = np.broadcast_to(np.arange(pe.shape[0]), frames.shape)
     last = config.encoder_layers - 1
     x = None if layer0 else e[frames] + pe
+    n = frames.shape[0]
+    kv_offsets = np.arange(n + 1) * pe.shape[0]
     for i in range(config.encoder_layers):
         rows = keep if i == last else slots
+        q_offsets = np.arange(n + 1) * rows.shape[1]
         if x is None:
             rows_f = np.take_along_axis(frames, rows, axis=1)
             gather = lambda c, f, s: layer0[c][0][f] + layer0[c][1][s]
@@ -215,7 +222,7 @@ def _encode_windows(e: np.ndarray, pe: np.ndarray, layer0: dict | None, frames: 
             x_rows = x if rows is slots else np.take_along_axis(x, rows[..., None], axis=1)
             q = _dense(x_rows, p, f"enc{i}.attn.q")
             k, v = _dense(x, p, f"enc{i}.attn.k"), _dense(x, p, f"enc{i}.attn.v")
-        x = _layer(x_rows, q, k, v, p, i, config.attention_heads)
+        x = _layer(x_rows, q, k, v, p, i, config.attention_heads, q_offsets, kv_offsets)
     return x
 
 

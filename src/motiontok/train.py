@@ -50,6 +50,8 @@ class TrainConfig:
             raise ValueError("warmup_epochs cannot exceed epochs")
         if self.negative_mode not in (ALL_FRAMES, EXCLUDE_SAME_CLIP):
             raise ValueError(f"unknown negative_mode {self.negative_mode!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"train seed must be an integer >= 0, got {self.seed!r}")
 
 
 def _denominator_mask(positive_cols: np.ndarray, anchor_clip: np.ndarray,
@@ -307,10 +309,13 @@ def train_tan(corpus: LabeledCorpus, tan_config: TanConfig, train_config: TrainC
                 np.random.SeedSequence([train_config.seed, 31, epoch, step_in_epoch]))
             pairs = [make_view_pair(_crop(usable[i], t_crop, rng), rng, ranges)
                      for i in batch]
-            va = [project(encode(p.view_a.flat(), weights), weights) for p in pairs]
-            vb = [project(encode(p.view_b.flat(), weights), weights) for p in pairs]
-            va = [ad.slice_tensor(v, (0,)) for v in va]
-            vb = [ad.slice_tensor(v, (0,)) for v in vb]
+            # one packed forward: all A views, then all B views, as rows of one matrix
+            views = [p.view_a.flat() for p in pairs] + [p.view_b.flat() for p in pairs]
+            offsets = np.cumsum([0] + [len(v) for v in views])
+            z = project(encode(np.concatenate(views), weights, offsets), weights)
+            clips = [ad.slice_tensor(z, (slice(lo, hi),))
+                     for lo, hi in zip(offsets[:-1], offsets[1:])]
+            va, vb = clips[:len(pairs)], clips[len(pairs):]
             if loss_kind == "tan":
                 loss = frame_nt_xent(va, vb, [p.correspondences for p in pairs],
                                      mode=train_config.negative_mode,
@@ -338,7 +343,7 @@ def train_tan(corpus: LabeledCorpus, tan_config: TanConfig, train_config: TrainC
             gnorms.append(gnorm)
             global_step += 1
             # drop this step's graph before the next step builds its own
-            loss = va = vb = items = None
+            loss = z = clips = va = vb = items = None
         history.append(EpochStats(
             epoch=epoch, mean_loss=float(np.mean(losses)), lr=lr,
             mean_grad_norm=float(np.mean(gnorms)), max_grad_norm=float(np.max(gnorms)),

@@ -224,6 +224,16 @@ def _catalog_cases():
             x, *_NT_XENT_PAIRS, *_nt_xent_masks(exclude_same_clip=False)), (5, 6), None),
         ("nt_xent_exclude_same_clip", lambda x: ad.nt_xent(
             x, *_NT_XENT_PAIRS, *_nt_xent_masks(exclude_same_clip=True)), (5, 6), None),
+        ("attention_unequal_segments", lambda x: ad.tensor_sum(ad.mul(ad.attention(
+            x, x, x, 2, [0, 2, 7, 9], [0, 2, 7, 9]), w((9, 4), 34))), (9, 4), None),
+        ("attention_query_ne_key_q", lambda x: ad.tensor_sum(ad.mul(ad.attention(
+            x, w((7, 4), 35), w((7, 4), 36), 2, [0, 2, 5], [0, 4, 7]), w((5, 4), 37))),
+         (5, 4), None),
+        ("attention_query_ne_key_kv", lambda x: ad.tensor_sum(ad.mul(ad.attention(
+            w((5, 4), 38), x, ad.scalar_mul(x, -0.5), 2, [0, 2, 5], [0, 4, 7]),
+            w((5, 4), 39))), (7, 4), None),
+        ("attention_one_frame_segment", lambda x: ad.tensor_sum(ad.mul(ad.attention(
+            x, x, x, 2, [0, 1, 4, 5], [0, 1, 4, 5]), w((5, 4), 40))), (5, 4), None),
         ("linear_2d", lambda x: ad.tensor_sum(ad.mul(ad.linear(
             x, _rand_weighting((4, 5), 26), _rand_weighting((5,), 27)), w((3, 5), 26))),
          (3, 4), None),
@@ -330,6 +340,65 @@ class TestMaskedLogsumexp:
         out = ad.masked_logsumexp(x, np.ones((1, 3), dtype=bool), axis=1)
         assert np.isfinite(out.values).all()
         assert out.values[0] == pytest.approx(4000.0 + np.log(1 + np.exp(-10.0)))
+
+
+def _batched_attention(q, k, v, heads):
+    """Attention of q (n, r, h) over k, v (n, L, h) by the composed ops,
+    heads folded into one batched product per step."""
+    n, r, h = q.shape
+    dh = h // heads
+    split = lambda a: ad.transpose(ad.reshape(a, (n, -1, heads, dh)), (0, 2, 1, 3))
+    scores = ad.scalar_mul(ad.matmul(split(q), ad.transpose(split(k), (0, 1, 3, 2))),
+                           1.0 / np.sqrt(dh))
+    attn = ad.softmax(scores, axis=-1)
+    return ad.reshape(ad.transpose(ad.matmul(attn, split(v)), (0, 2, 1, 3)), (n, r, h))
+
+
+class TestAttention:
+    def test_equal_segments_run_the_batched_products(self):
+        # windowed inference: n windows of r queries over L keys each
+        rng = np.random.default_rng(42)
+        q, k, v = rng.normal(size=(3, 4, 8)), rng.normal(size=(3, 6, 8)), rng.normal(size=(3, 6, 8))
+        out = ad.attention(q, k, v, 2, np.arange(4) * 4, np.arange(4) * 6)
+        assert type(out) is np.ndarray and out.shape == (3, 4, 8)
+        assert out.tobytes() == _batched_attention(q, k, v, 2).tobytes()
+
+    def test_gradients_match_composed_ops(self):
+        rng = np.random.default_rng(43)
+        arrays = [rng.normal(size=(2, 5, 8)) for _ in range(3)]
+        weighting = _rand_weighting((2, 5, 8), 43)
+        grads = []
+        for fused in (True, False):
+            q, k, v = (ad.parameter(a) for a in arrays)
+            out = (ad.attention(q, k, v, 4, [0, 5, 10], [0, 5, 10]) if fused
+                   else _batched_attention(q, k, v, 4))
+            ad.backward(ad.tensor_sum(ad.mul(out, weighting)))
+            grads.append([t.grad for t in (q, k, v)])
+        for fused, composed in zip(*grads):
+            np.testing.assert_allclose(fused, composed, rtol=0, atol=1e-13)
+
+    def test_segments_do_not_see_each_other(self):
+        rng = np.random.default_rng(44)
+        q, k, v = rng.normal(size=(7, 4)), rng.normal(size=(9, 4)), rng.normal(size=(9, 4))
+        out = ad.attention(q, k, v, 2, [0, 3, 7], [0, 5, 9])
+        for (a, b), (c, d) in (((0, 3), (0, 5)), ((3, 7), (5, 9))):
+            alone = ad.attention(q[a:b], k[c:d], v[c:d], 2, [0, b - a], [0, d - c])
+            np.testing.assert_allclose(out[a:b], alone, rtol=0, atol=1e-14)
+
+    def test_backward_keeps_the_probabilities(self):
+        x = ad.parameter(np.random.default_rng(45).normal(size=(6, 4)))
+        out = ad.attention(x, x, x, 2, [0, 2, 4, 6], [0, 2, 4, 6])
+        (probs,) = out._backward.probs  # three segments of equal length: one group
+        assert probs.shape == (3, 2, 2, 2)
+        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("q_offsets,kv_offsets", [
+        ([0, 2, 5], [0, 4]), ([0, 3, 3, 5], [0, 2, 4, 7]), ([1, 5], [0, 7]), ([0, 5], [0, 6]),
+    ])
+    def test_bad_offsets_rejected(self, q_offsets, kv_offsets):
+        with pytest.raises(ShapeError, match="attention"):
+            ad.attention(np.zeros((5, 4)), np.zeros((7, 4)), np.zeros((7, 4)), 2,
+                         q_offsets, kv_offsets)
 
 
 class TestNtXent:

@@ -56,6 +56,7 @@ OPTION_RULES = [
     ("synth", "joints", 0, "joints must be >= 1"),
     ("synth", "fps", 0.0, "fps must be > 0"),
     ("synth", "pose_spread", -0.1, "pose_spread must be >= 0"),
+    ("train", "seed", -1, "train seed must be an integer >= 0, got -1"),
     ("lexicon", "feature_space", "raw", "feature_space must be"),
     ("lexicon", "max_iters", 0, "max_iters must be >= 1"),
     ("lexicon", "tol", -1e-6, "tol must be >= 0"),

@@ -181,6 +181,12 @@ class TestCorpusManifest:
         (root / "labels.json").write_text(json.dumps(edit(manifest)))
         return load_corpus(root)
 
+    def test_not_json(self, tmp_path):
+        root = save_corpus(generate_synthetic_corpus(2, 2, 2, 8, seed=2), tmp_path / "c")
+        (root / "labels.json").write_text('{"primitive_count": 2, "labels": {')
+        with pytest.raises(HeaderError, match="labels.json: invalid JSON"):
+            load_corpus(root)
+
     def test_not_an_object(self, tmp_path):
         with pytest.raises(HeaderError, match="not a JSON object"):
             self._load_edited(tmp_path, lambda m: list(m.items()))

@@ -104,12 +104,31 @@ class TestEncode:
         assert np.array_equal(encode(x, w).values, encode(x, w).values)
 
     def test_attention_rows_sum_to_one(self):
+        # the probabilities each attention node keeps for its backward
         w = tiny_weights()
-        sink = []
-        encode(np.random.default_rng(3).normal(size=(2, 6, 9)), w, attn_sink=sink)
-        assert len(sink) == TINY.encoder_layers * TINY.attention_heads
-        for attn in sink:
+        z = encode(np.random.default_rng(3).normal(size=(2, 6, 9)), w)
+        nodes = [n for n in ad.topo_order(z) if n.op == "attention"]
+        assert len(nodes) == TINY.encoder_layers
+        for node in nodes:
+            (attn,) = node._backward.probs  # two views of 6 frames: one group
+            assert attn.shape == (2, TINY.attention_heads, 6, 6)
             np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
+
+    def test_packed_views_match_views_encoded_alone(self):
+        w = init_weights(TanConfig(hidden_dim=16, encoder_layers=2, attention_heads=2,
+                                   projection_dim=8, sequence_length=6), joints=3, seed=1)
+        rng = np.random.default_rng(7)
+        views = [rng.normal(size=(t, 9)) for t in (5, 1, 8, 5)]
+        offsets = np.cumsum([0] + [len(v) for v in views])
+        packed = project(encode(np.concatenate(views), w, offsets), w).values
+        for v, lo, hi in zip(views, offsets[:-1], offsets[1:]):
+            np.testing.assert_allclose(packed[lo:hi], project(encode(v, w), w).values[0],
+                                       rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("offsets", [[0, 3, 3, 8], [1, 8], [0, 7], [0, 8, 9]])
+    def test_bad_view_offsets_rejected(self, offsets):
+        with pytest.raises(ShapeError, match="offsets"):
+            encode(np.zeros((8, 9)), tiny_weights(), offsets)
 
     def test_graph_size_independent_of_head_count(self):
         x = np.random.default_rng(4).normal(size=(2, 6, 9))

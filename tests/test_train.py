@@ -406,9 +406,9 @@ class TestTrainLoop:
     # loss kind -> (checkpoint digest, payload digest). The payload digest
     # covers the weight bytes alone, so it holds when only the header changes.
     TRAINED_PINS = {
-        "tan": ("c60905a7bbc1b8c1", "4507cb958e1f9802"),
-        "tcc": ("c3df981fb8415430", "e2a5a67dc2b17b3e"),
-        "tcn": ("ed8f64cacae6b47a", "b7a607a9598a3ebb"),
+        "tan": ("d9636a57f8c74e88", "e2f27b1bb2974087"),
+        "tcc": ("fefff4888be1bb8e", "5a42cc35ec8b320a"),
+        "tcn": ("01da259f54b2201b", "9a0c39af417cc13f"),
     }
 
     @pytest.mark.parametrize("loss_kind,layers,batch", [
@@ -465,8 +465,10 @@ class TestTrainLoop:
             for name, t in weights.tensors.items():
                 t.values[...] = values[name]
             ref = reference_step_gradients(weights, step_pairs, loss_kind, cfg, rng)
+            # relative to the step's largest gradient: the key biases' gradients
+            # are zero up to rounding (softmax ignores a per-row shift)
+            scale = max(np.abs(g).max() for g in ref.values())
             for name, g in grads.items():
-                scale = np.abs(ref[name]).max()
                 assert np.abs(g - ref[name]).max() <= 1e-10 * scale, name
 
     def test_loss_decreases_over_training(self, corpus):
@@ -528,3 +530,8 @@ class TestTrainLoop:
             TrainConfig(warmup_epochs=10, epochs=5)
         with pytest.raises(ValueError):
             TrainConfig(negative_mode="bogus")
+
+    @pytest.mark.parametrize("seed", [-1, 1.0, "3", True, None])
+    def test_seed_must_be_a_nonnegative_int(self, seed):
+        with pytest.raises(ValueError, match="train seed must be an integer >= 0"):
+            TrainConfig(seed=seed)
