@@ -7,7 +7,7 @@ element-wise ops demand identical shapes, and the only shape-bending ops are
 the ones defined here (matmul, linear, add_bias, reductions, reshape, ...).
 
 The forward ops (linear, relu, add, matmul, transpose, reshape, scalar_mul,
-softmax, layer_norm, l2_normalize) also run graph-free: with no Tensor operand
+softmax, attention, layer_norm, l2_normalize) also run graph-free: with no Tensor operand
 they return the same values, by the same numpy operations, as a plain
 np.ndarray and record nothing. Inference runs the encoder that way; Tensor
 operands give a Tensor, under `no_grad` too.
@@ -461,12 +461,18 @@ def masked_logsumexp(a, mask: np.ndarray, axis: int = -1) -> Tensor:
     return _result(out_values, (a,), "masked_logsumexp", bwd)
 
 
-def _segment_offsets(offsets, rows: int, name: str) -> np.ndarray:
+def segments(offsets, rows: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(starts, lengths) of the segments offsets cut `rows` rows into, if the
+    offsets are integers rising strictly from 0 to rows; else ShapeError
+    naming `what`."""
     o = np.asarray(offsets)
-    if (o.ndim != 1 or o.size < 2 or not np.issubdtype(o.dtype, np.integer) or o[0] != 0
-            or o[-1] != rows or (np.diff(o) < 1).any()):
-        raise ShapeError(f"attention: {name} must rise strictly from 0 to {rows}, got {o}")
-    return o.astype(np.int64)
+    if o.ndim != 1 or o.size < 2 or o.dtype.kind not in "iu":
+        raise ShapeError(f"{what} must be at least two integers, got {o}")
+    starts = o[:-1]
+    lengths = o[1:] - starts
+    if o[0] != 0 or o[-1] != rows or lengths.min() < 1:
+        raise ShapeError(f"{what} must rise strictly from 0 to {rows}, got {o}")
+    return starts, lengths
 
 
 def _segment_rows(starts: np.ndarray, length: int):
@@ -500,18 +506,21 @@ def attention(q, k, v, heads: int, q_offsets, kv_offsets) -> Tensor | np.ndarray
         raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}, {heads} heads")
     qv, kv, vv = (q.values, k.values, v.values) if graph else (q, k, v)
     q2, k2, v2 = qv.reshape(-1, h), kv.reshape(-1, h), vv.reshape(-1, h)
-    qo = _segment_offsets(q_offsets, q2.shape[0], "q_offsets")
-    ko = _segment_offsets(kv_offsets, k2.shape[0], "kv_offsets")
-    if qo.size != ko.size:
-        raise ShapeError(f"attention: {qo.size - 1} query and {ko.size - 1} key segments")
+    q_starts, lq = segments(q_offsets, q2.shape[0], "attention: q_offsets")
+    k_starts, lk = segments(kv_offsets, k2.shape[0], "attention: kv_offsets")
+    if lq.size != lk.size:
+        raise ShapeError(f"attention: {lq.size} query and {lk.size} key segments")
     dh = h // heads
     scale = float(1.0 / np.sqrt(dh))
-    sizes, group_of = np.unique(np.stack([np.diff(qo), np.diff(ko)], axis=1), axis=0,
-                                return_inverse=True)
-    groups = []  # (query rows, key rows, segment count) per group
-    for g, (a, b) in enumerate(sizes):
-        starts = np.flatnonzero(group_of.reshape(-1) == g)
-        groups.append((_segment_rows(qo[starts], a), _segment_rows(ko[starts], b), starts.size))
+    if lq.min() == lq.max() and lk.min() == lk.max():
+        groups = [(slice(None), slice(None), lq.size)]  # (query rows, key rows, segments)
+    else:
+        sizes, group_of = np.unique(np.stack([lq, lk], axis=1), axis=0, return_inverse=True)
+        groups = []
+        for g, (a, b) in enumerate(sizes):
+            sel = np.flatnonzero(group_of.reshape(-1) == g)
+            groups.append((_segment_rows(q_starts[sel], a), _segment_rows(k_starts[sel], b),
+                           sel.size))
 
     split = lambda x, m: np.transpose(x.reshape(m, -1, heads, dh), (0, 2, 1, 3))
     merge = lambda x: np.transpose(x, (0, 2, 1, 3)).reshape(-1, h)
@@ -581,20 +590,18 @@ def nt_xent(sim, anchors, positives, mask_ab, mask_ba) -> Tensor:
         raise ValueError("nt_xent: anchors and positives must each be distinct")
     picked = np.arange(p)
 
-    def direction(rows_of, targets, mask):
-        rows = rows_of[targets[0]]
+    def direction(s, rows_idx, cols_idx, mask):
+        rows = s[rows_idx]
         neg_inf = np.where(mask, rows, -np.inf)
         m = neg_inf.max(axis=1, keepdims=True)
         lse = (m + np.log(np.exp(neg_inf - m).sum(axis=1, keepdims=True))).squeeze(1)
-        return lse - rows[picked, targets[1]], neg_inf, lse
+        return lse - rows[picked, cols_idx], neg_inf, lse
 
-    terms_ab, neg_ab, lse_ab = direction(sim.values, (anchors, positives), mask_ab)
-    terms_ba, neg_ba, lse_ba = direction(sim.values.T, (positives, anchors), mask_ba)
+    terms_ab, neg_ab, lse_ab = direction(sim.values, anchors, positives, mask_ab)
+    terms_ba, neg_ba, lse_ba = direction(sim.values.T, positives, anchors, mask_ba)
     n = 2 * p
 
     def bwd(g):
-        if not sim.requires_grad:
-            return
         scale = g / n
         buf = _grad_buffer(sim)
         for view, rows, cols, neg_inf, lse in ((buf, anchors, positives, neg_ab, lse_ab),

@@ -162,14 +162,10 @@ def encode(x, w: TanWeights, offsets=None) -> Tensor:
         raise ShapeError(
             f"encode: input feature dim {x.shape[1]} does not match 3*J = {3 * w.joints}"
         )
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if (offsets.ndim != 1 or offsets.size < 2 or offsets[0] != 0
-            or offsets[-1] != x.shape[0] or (np.diff(offsets) < 1).any()):
-        raise ShapeError(f"encode: view offsets must rise strictly from 0 to {x.shape[0]}")
-    lengths = np.diff(offsets)
+    starts, lengths = ad.segments(offsets, x.shape[0], "encode: view offsets")
     t = w.tensors
     h = _mlp(x, t, "embed")
-    slot = np.arange(x.shape[0]) - np.repeat(offsets[:-1], lengths)
+    slot = np.arange(x.shape[0]) - np.repeat(starts, lengths)
     h = ad.add(h, Tensor(positional_encoding(int(lengths.max()), w.config.hidden_dim)[slot]))
     for i in range(w.config.encoder_layers):
         q, k, v = (_dense(h, t, f"enc{i}.attn.{c}") for c in "qkv")

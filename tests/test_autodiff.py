@@ -269,6 +269,8 @@ def _forward_op_cases():
         ("reshape", lambda x: ad.reshape(x, (6, -1)), (a(2, 3, 4),)),
         ("scalar_mul", lambda x: ad.scalar_mul(x, -1.7), (a(3, 4),)),
         ("softmax", lambda x: ad.softmax(x, axis=-1), (a(3, 5),)),
+        ("attention", lambda q, k, v: ad.attention(q, k, v, 2, [0, 2, 5], [0, 4, 7]),
+         (a(5, 4), a(7, 4), a(7, 4))),
         ("layer_norm", ad.layer_norm, (a(3, 5), a(5), a(5))),
         ("l2_normalize", ad.l2_normalize, (a(3, 4),)),
     ]
