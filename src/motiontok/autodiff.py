@@ -24,6 +24,7 @@ them back when training ends.
 from __future__ import annotations
 
 import ctypes
+import math
 import os
 import threading
 from contextlib import contextmanager
@@ -461,18 +462,19 @@ def masked_logsumexp(a, mask: np.ndarray, axis: int = -1) -> Tensor:
     return _result(out_values, (a,), "masked_logsumexp", bwd)
 
 
-def segments(offsets, rows: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, lengths) of the segments offsets cut `rows` rows into, if the
-    offsets are integers rising strictly from 0 to rows; else ShapeError
-    naming `what`."""
+def segments(offsets, rows: int, what: str) -> tuple[np.ndarray, np.ndarray, bool]:
+    """(starts, lengths, uniform) of the segments offsets cut `rows` rows
+    into, uniform telling whether all have one length, if the offsets are
+    integers rising strictly from 0 to rows; else ShapeError naming `what`."""
     o = np.asarray(offsets)
     if o.ndim != 1 or o.size < 2 or o.dtype.kind not in "iu":
         raise ShapeError(f"{what} must be at least two integers, got {o}")
     starts = o[:-1]
     lengths = o[1:] - starts
-    if o[0] != 0 or o[-1] != rows or lengths.min() < 1:
+    shortest = lengths.min()
+    if o[0] != 0 or o[-1] != rows or shortest < 1:
         raise ShapeError(f"{what} must rise strictly from 0 to {rows}, got {o}")
-    return starts, lengths
+    return starts, lengths, shortest * lengths.size == rows  # no segment longer than the rest
 
 
 def _segment_rows(starts: np.ndarray, length: int):
@@ -506,13 +508,13 @@ def attention(q, k, v, heads: int, q_offsets, kv_offsets) -> Tensor | np.ndarray
         raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}, {heads} heads")
     qv, kv, vv = (q.values, k.values, v.values) if graph else (q, k, v)
     q2, k2, v2 = qv.reshape(-1, h), kv.reshape(-1, h), vv.reshape(-1, h)
-    q_starts, lq = segments(q_offsets, q2.shape[0], "attention: q_offsets")
-    k_starts, lk = segments(kv_offsets, k2.shape[0], "attention: kv_offsets")
+    q_starts, lq, q_uniform = segments(q_offsets, q2.shape[0], "attention: q_offsets")
+    k_starts, lk, k_uniform = segments(kv_offsets, k2.shape[0], "attention: kv_offsets")
     if lq.size != lk.size:
         raise ShapeError(f"attention: {lq.size} query and {lk.size} key segments")
     dh = h // heads
-    scale = float(1.0 / np.sqrt(dh))
-    if lq.min() == lq.max() and lk.min() == lk.max():
+    scale = 1.0 / math.sqrt(dh)
+    if q_uniform and k_uniform:
         groups = [(slice(None), slice(None), lq.size)]  # (query rows, key rows, segments)
     else:
         sizes, group_of = np.unique(np.stack([lq, lk], axis=1), axis=0, return_inverse=True)

@@ -162,7 +162,7 @@ def encode(x, w: TanWeights, offsets=None) -> Tensor:
         raise ShapeError(
             f"encode: input feature dim {x.shape[1]} does not match 3*J = {3 * w.joints}"
         )
-    starts, lengths = ad.segments(offsets, x.shape[0], "encode: view offsets")
+    starts, lengths, _ = ad.segments(offsets, x.shape[0], "encode: view offsets")
     t = w.tensors
     h = _mlp(x, t, "embed")
     slot = np.arange(x.shape[0]) - np.repeat(starts, lengths)
