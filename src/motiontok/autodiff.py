@@ -6,11 +6,12 @@ and accumulates exact analytic gradients. There is no implicit broadcasting:
 element-wise ops demand identical shapes, and the only shape-bending ops are
 the ones defined here (matmul, linear, add_bias, reductions, reshape, ...).
 
-The forward ops (linear, relu, add, matmul, transpose, reshape, scalar_mul,
-softmax, attention, layer_norm, l2_normalize) also run graph-free: with no Tensor operand
-they return the same values, by the same numpy operations, as a plain
-np.ndarray and record nothing. Inference runs the encoder that way; Tensor
-operands give a Tensor, under `no_grad` too.
+The ops the encoder forward runs (linear, relu, add, attention, layer_norm,
+l2_normalize) also run graph-free: with no Tensor operand they return the
+same values, by the same numpy operations, as a plain np.ndarray and record
+nothing. Inference runs the encoder that way; Tensor operands give a Tensor,
+under `no_grad` too. Every other op wraps plain-array operands as leaves and
+returns a Tensor.
 
 Memory: parameters (leaves that require grad) hold an eager `.grad`, which
 the optimizer reads. An interior node gets its gradient buffer on the first
@@ -218,10 +219,9 @@ def scalar_add(a, c: float) -> Tensor:
     return _result(a.values + c, (a,), "scalar_add", bwd)
 
 
-def scalar_mul(a, c: float) -> Tensor | np.ndarray:
+def scalar_mul(a, c: float) -> Tensor:
+    a = as_tensor(a)
     c = float(c)
-    if not isinstance(a, Tensor):
-        return a * c
 
     def bwd(g):
         if a.requires_grad:
@@ -254,17 +254,13 @@ def relu(a) -> Tensor | np.ndarray:
 
 # --- shape ops ---------------------------------------------------------------
 
-def matmul(a, b) -> Tensor | np.ndarray:
+def matmul(a, b) -> Tensor:
     """2D @ 2D, or stacked matmul on equal leading dimensions."""
-    graph = isinstance(a, Tensor) or isinstance(b, Tensor)
-    if graph:
-        a, b = as_tensor(a), as_tensor(b)
+    a, b = as_tensor(a), as_tensor(b)
     if len(a.shape) < 2 or len(a.shape) != len(b.shape):
         raise ShapeError(f"matmul: ranks {a.shape} @ {b.shape} unsupported")
     if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: shapes {a.shape} @ {b.shape} incompatible")
-    if not graph:
-        return np.matmul(a, b)
 
     def bwd(g):
         if a.requires_grad:
@@ -305,9 +301,8 @@ def linear(x, w, b) -> Tensor | np.ndarray:
     return _result(out, (x, w, b), "linear", bwd)
 
 
-def transpose(a, axes: tuple[int, ...] | None = None) -> Tensor | np.ndarray:
-    if not isinstance(a, Tensor):
-        return np.transpose(a, axes)
+def transpose(a, axes: tuple[int, ...] | None = None) -> Tensor:
+    a = as_tensor(a)
     if axes is None:
         axes = tuple(reversed(range(a.values.ndim)))
     inverse = tuple(np.argsort(axes))
@@ -319,9 +314,8 @@ def transpose(a, axes: tuple[int, ...] | None = None) -> Tensor | np.ndarray:
     return _result(np.transpose(a.values, axes), (a,), "transpose", bwd)
 
 
-def reshape(a, shape: tuple[int, ...]) -> Tensor | np.ndarray:
-    if not isinstance(a, Tensor):
-        return a.reshape(shape)
+def reshape(a, shape: tuple[int, ...]) -> Tensor:
+    a = as_tensor(a)
     old = a.shape
 
     def bwd(g):
@@ -422,13 +416,11 @@ def mean(a, axis: int | None = None) -> Tensor:
 
 # --- normalization and similarity ops ----------------------------------------
 
-def softmax(a, axis: int = -1) -> Tensor | np.ndarray:
+def softmax(a, axis: int = -1) -> Tensor:
     """Max-shifted softmax along `axis`."""
-    x = a.values if isinstance(a, Tensor) else a
-    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    a = as_tensor(a)
+    e = np.exp(a.values - a.values.max(axis=axis, keepdims=True))
     out_values = e / e.sum(axis=axis, keepdims=True)
-    if not isinstance(a, Tensor):
-        return out_values
 
     def bwd(g):
         if a.requires_grad:

@@ -69,32 +69,41 @@ class TokenStream:
         return out
 
 
-def _sq_dists(points: np.ndarray, centroids: np.ndarray,
-              chunk: int = 512) -> np.ndarray:
-    """Exact squared distances, (M, K), chunked to bound the diff buffer.
+def _gram(points: np.ndarray, p2: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Squared distances in Gram form, max(|p|^2 + |c|^2 - 2 p.c, 0), (M, K).
 
-    Seeding, the final inertia and `assign` use this form: the Gram form of
-    `_sq_dists_fast` leaves rounding residue where a point equals its
-    centroid, so k = M would no longer give zero inertia. The Lloyd loop uses
-    the Gram form, which makes k-means 3.3x faster."""
-    m = points.shape[0]
-    out = np.empty((m, centroids.shape[0]))
-    for lo in range(0, m, chunk):
-        diff = points[lo:lo + chunk, None, :] - centroids[None, :, :]
-        out[lo:lo + chunk] = np.einsum("mkd,mkd->mk", diff, diff)
-    return out
-
-
-def _sq_dists_fast(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Gram-matrix form of squared distances, for the Lloyd inner loop only.
-
-    The loop needs only each point's nearest centroid; the exact `_sq_dists`
-    there made k-means 3.3x slower (K in 8..128 on 1376 unit 32-d points).
-    The reported inertia and labels come from the exact form, because this
-    one's rounding residue breaks zero inertia at k = M."""
-    p2 = (points * points).sum(axis=1)[:, None]
+    p2 holds the points' squared norms. It is one matrix product, but its
+    rounding residue (of order eps * (|p|^2 + |c|^2)) breaks exact ties and
+    zero distances: the Lloyd loop uses it as is, `_nearest` only to screen."""
     c2 = (centroids * centroids).sum(axis=1)[None, :]
-    return np.maximum(p2 + c2 - 2.0 * (points @ centroids.T), 0.0)
+    return np.maximum(p2[:, None] + c2 - 2.0 * (points @ centroids.T), 0.0)
+
+
+def _nearest(points: np.ndarray, p2: np.ndarray,
+             centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest centroid id and squared distance per point, as an exact
+    difference pass sum((p - c)^2) over all (M, K) pairs gives them, ties
+    going to the lowest id.
+
+    The Gram form screens the centroids. Each form is within
+    2 (D + 2) u (|p|^2 + max |c|^2) of the true distance (u the unit
+    roundoff, eps / 2), so the exact nearest is never more than twice their
+    sum above the row's Gram minimum; the margin, 8 (D + 2) eps (|p|^2 +
+    max |c|^2), is twice that again. The exact form then decides among the
+    survivors, usually one per row, so the result matches the full exact
+    pass bit for bit without its (M, K, D) difference buffer. A row whose
+    screen is NaN keeps every centroid."""
+    gram = _gram(points, p2, centroids)
+    scale = p2 + (centroids * centroids).sum(axis=1).max()
+    margin = 8.0 * np.finfo(np.float64).eps * (points.shape[1] + 2) * scale
+    rows, cols = np.nonzero(~(gram > (gram.min(axis=1, initial=np.inf) + margin)[:, None]))
+    diff = points[rows] - centroids[cols]
+    exact = np.einsum("md,md->m", diff, diff)
+    # rows ascend and cols ascend within a row; the stable sort keeps that
+    # order among equal distances, so each row's first entry is its lowest id
+    order = np.lexsort((exact, rows))
+    first = order[np.searchsorted(rows, np.arange(points.shape[0]))]
+    return cols[first], exact[first]
 
 
 def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iters: int = 300,
@@ -102,51 +111,62 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iters: int = 300,
     """Lloyd's algorithm with k-means++ seeding.
 
     Stops when the largest centroid shift drops below tol. Empty clusters are
-    re-seeded to the point currently farthest from its assigned centroid.
+    re-seeded to the points currently farthest from their assigned centroid.
+    The Lloyd loop assigns by the Gram form; the reported inertia comes from
+    the exact form, so k = M gives zero inertia. Each centroid is its
+    members' sum, accumulated in point order, over their count: for D >= 2
+    that is bit for bit `points[members].mean(axis=0)`; for D = 1 numpy's
+    mean sums pairwise, and the two can differ in the last bits.
     """
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
     points = np.asarray(points, dtype=np.float64)
-    m = points.shape[0]
+    if points.ndim != 2 or points.shape[1] < 1:
+        raise ValueError(f"points must be an (M, D) array with D >= 1, got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise ValueError("points must be finite")
+    m, d = points.shape
     if m < k:
         raise ValueError(f"need at least k={k} points, got {m}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 41]))
 
-    centroids = np.empty((k, points.shape[1]))
+    centroids = np.empty((k, d))
     centroids[0] = points[rng.integers(m)]
-    closest = _sq_dists(points, centroids[:1]).min(axis=1)
+    closest = np.full(m, np.inf)
     for c in range(1, k):
+        diff = points - centroids[c - 1]
+        closest = np.minimum(closest, np.einsum("md,md->m", diff, diff))
         total = closest.sum()
         if total <= 0.0:
             centroids[c] = points[rng.integers(m)]
         else:
             centroids[c] = points[np.searchsorted(
                 np.cumsum(closest / total), rng.random())]
-        closest = np.minimum(closest, _sq_dists(points, centroids[c:c + 1]).min(axis=1))
 
-    labels = np.zeros(m, dtype=np.int64)
+    p2 = (points * points).sum(axis=1)
+    column = np.arange(d)
     for _ in range(max_iters):
-        dists = _sq_dists_fast(points, centroids)
+        dists = _gram(points, p2, centroids)
         labels = dists.argmin(axis=1)
+        counts = np.bincount(labels, minlength=k)
+        sums = np.bincount((labels[:, None] * d + column).ravel(), weights=points.ravel(),
+                           minlength=k * d).reshape(k, d)
         new_centroids = centroids.copy()
-        for c in range(k):
-            members = labels == c
-            if members.any():
-                new_centroids[c] = points[members].mean(axis=0)
-        empties = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
+        filled = counts > 0
+        new_centroids[filled] = sums[filled] / counts[filled, None]
+        empties = np.flatnonzero(~filled)
         if empties.size:
+            # the farthest points, ties to the lowest index
             point_err = dists[np.arange(m), labels]
-            for c in empties:
-                far = int(point_err.argmax())
-                new_centroids[c] = points[far]
-                point_err[far] = -1.0
+            far = np.argsort(-point_err, kind="stable")[:empties.size]
+            new_centroids[empties] = points[far]
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
         if shift < tol:
             break
-    final = _sq_dists(points, centroids)
-    labels = final.argmin(axis=1)
-    inertia = float(final[np.arange(m), labels].sum())
+    _, dist = _nearest(points, p2, centroids)
     return Lexicon(centroids=centroids,
-                   metadata={"seed": seed, "inertia": inertia, "points": m})
+                   metadata={"seed": seed, "inertia": float(dist.sum()), "points": m})
 
 
 def assign(frames: np.ndarray, lexicon: Lexicon) -> np.ndarray:
@@ -156,7 +176,9 @@ def assign(frames: np.ndarray, lexicon: Lexicon) -> np.ndarray:
         raise ValueError(
             f"frames of shape {frames.shape} do not match lexicon dim {lexicon.dim}"
         )
-    return _sq_dists(frames, lexicon.centroids).argmin(axis=1)
+    if not np.isfinite(frames).all():
+        raise ValueError("frames must be finite")
+    return _nearest(frames, (frames * frames).sum(axis=1), lexicon.centroids)[0]
 
 
 def segment(labels) -> TokenStream:

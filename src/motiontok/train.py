@@ -76,25 +76,37 @@ def _denominator_mask(positive_cols: np.ndarray, anchor_clip: np.ndarray,
 
 
 def frame_nt_xent(v_a, v_b, correspondences: list[list[tuple[int, int]]],
-                  mode: str = EXCLUDE_SAME_CLIP, tau: float = 0.1) -> Tensor:
+                  mode: str = EXCLUDE_SAME_CLIP, tau: float = 0.1,
+                  lengths: tuple | None = None) -> Tensor:
     """Symmetrized frame-wise contrastive loss over a batch of view pairs.
 
-    v_a, v_b: sequences of per-clip projected frame tensors, view lengths may
-    differ across clips. correspondences[n] lists the (i_a, i_b) positive
-    pairs of clip n. Frames without a correspondence contribute no positive
-    term but still serve as negatives. The total is the mean over 2 * (positive pair count).
+    v_a, v_b: the clips' A and B views, as sequences of per-clip projected
+    frame tensors (view lengths may differ across clips), or, with
+    lengths=(lengths_a, lengths_b), as two (N, F) blocks that hold each
+    side's clips as consecutive rows, clip n being lengths_a[n] rows of v_a
+    and lengths_b[n] rows of v_b. correspondences[n] lists the (i_a, i_b)
+    positive pairs of clip n. Frames without a correspondence contribute no
+    positive term but still serve as negatives. The total is the mean over
+    2 * (positive pair count).
     """
-    views_a, views_b = list(v_a), list(v_b)
-    if len(views_a) != len(views_b) or len(views_a) != len(correspondences):
+    if lengths is None:
+        views_a, views_b = list(v_a), list(v_b)
+        len_a = [v.shape[0] for v in views_a]
+        len_b = [v.shape[0] for v in views_b]
+        big_a, big_b = ad.concat(views_a, axis=0), ad.concat(views_b, axis=0)
+    else:
+        len_a, len_b = (np.asarray(n, dtype=np.int64) for n in lengths)
+        big_a, big_b = ad.as_tensor(v_a), ad.as_tensor(v_b)
+        if len_a.sum() != big_a.shape[0] or len_b.sum() != big_b.shape[0]:
+            raise ValueError("clip lengths must sum to the row counts of v_a and v_b")
+    if len(len_a) != len(len_b) or len(len_a) != len(correspondences):
         raise ValueError("views and correspondences must agree in clip count")
     if not tau > 0:
         raise ValueError("temperature must be positive")
-    len_a = [v.shape[0] for v in views_a]
-    len_b = [v.shape[0] for v in views_b]
     off_a = np.concatenate([[0], np.cumsum(len_a)[:-1]]).astype(np.int64)
     off_b = np.concatenate([[0], np.cumsum(len_b)[:-1]]).astype(np.int64)
-    clip_of_a = np.repeat(np.arange(len(views_a)), len_a)
-    clip_of_b = np.repeat(np.arange(len(views_b)), len_b)
+    clip_of_a = np.repeat(np.arange(len(len_a)), len_a)
+    clip_of_b = np.repeat(np.arange(len(len_b)), len_b)
 
     pairs = [(n, ia, ib) for n, corr in enumerate(correspondences) for ia, ib in corr]
     if not pairs:
@@ -103,8 +115,6 @@ def frame_nt_xent(v_a, v_b, correspondences: list[list[tuple[int, int]]],
     rows_a = np.array([off_a[n] + ia for n, ia, _ in pairs])
     cols_b = np.array([off_b[n] + ib for n, _, ib in pairs])
 
-    big_a = ad.concat(views_a, axis=0)
-    big_b = ad.concat(views_b, axis=0)
     sim_ab = ad.scalar_mul(ad.matmul(big_a, ad.transpose(big_b)), 1.0 / tau)
     return ad.nt_xent(sim_ab, rows_a, cols_b,
                       _denominator_mask(cols_b, pair_clip, clip_of_b, mode),
@@ -313,18 +323,24 @@ def train_tan(corpus: LabeledCorpus, tan_config: TanConfig, train_config: TrainC
             views = [p.view_a.flat() for p in pairs] + [p.view_b.flat() for p in pairs]
             offsets = np.cumsum([0] + [len(v) for v in views])
             z = project(encode(np.concatenate(views), weights, offsets), weights)
-            clips = [ad.slice_tensor(z, (slice(lo, hi),))
-                     for lo, hi in zip(offsets[:-1], offsets[1:])]
-            va, vb = clips[:len(pairs)], clips[len(pairs):]
+            n_clips = len(pairs)
             if loss_kind == "tan":
-                loss = frame_nt_xent(va, vb, [p.correspondences for p in pairs],
+                # the loss takes the A and B blocks whole: its rows are the clips' views in order
+                lengths = np.diff(offsets)
+                loss = frame_nt_xent(ad.slice_tensor(z, (slice(0, offsets[n_clips]),)),
+                                     ad.slice_tensor(z, (slice(offsets[n_clips], None),)),
+                                     [p.correspondences for p in pairs],
                                      mode=train_config.negative_mode,
-                                     tau=train_config.temperature)
-            elif loss_kind == "tcn":
-                items = [tcn_loss(a, b, TCN_ANCHORS, rng) for a, b in zip(va, vb)]
-                loss = ad.mean(ad.concat([ad.reshape(x, (1,)) for x in items], axis=0))
+                                     tau=train_config.temperature,
+                                     lengths=(lengths[:n_clips], lengths[n_clips:]))
             else:
-                items = [tcc_loss(a, b) for a, b in zip(va, vb)]
+                clips = [ad.slice_tensor(z, (slice(lo, hi),))
+                         for lo, hi in zip(offsets[:-1], offsets[1:])]
+                va, vb = clips[:n_clips], clips[n_clips:]
+                if loss_kind == "tcn":
+                    items = [tcn_loss(a, b, TCN_ANCHORS, rng) for a, b in zip(va, vb)]
+                else:
+                    items = [tcc_loss(a, b) for a, b in zip(va, vb)]
                 loss = ad.mean(ad.concat([ad.reshape(x, (1,)) for x in items], axis=0))
 
             lr = lr_at(global_step, train_config, steps_per_epoch)

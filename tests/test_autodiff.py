@@ -264,11 +264,6 @@ def _forward_op_cases():
         ("linear", ad.linear, (a(2, 3, 4), a(4, 5), a(5))),
         ("relu", ad.relu, (a(3, 4),)),
         ("add", ad.add, (a(3, 4), a(3, 4))),
-        ("matmul", ad.matmul, (a(2, 3, 4), a(2, 4, 5))),
-        ("transpose", lambda x: ad.transpose(x, (0, 2, 1)), (a(2, 3, 4),)),
-        ("reshape", lambda x: ad.reshape(x, (6, -1)), (a(2, 3, 4),)),
-        ("scalar_mul", lambda x: ad.scalar_mul(x, -1.7), (a(3, 4),)),
-        ("softmax", lambda x: ad.softmax(x, axis=-1), (a(3, 5),)),
         ("attention", lambda q, k, v: ad.attention(q, k, v, 2, [0, 2, 5], [0, 4, 7]),
          (a(5, 4), a(7, 4), a(7, 4))),
         ("layer_norm", ad.layer_norm, (a(3, 5), a(5), a(5))),
@@ -363,7 +358,7 @@ class TestAttention:
         q, k, v = rng.normal(size=(3, 4, 8)), rng.normal(size=(3, 6, 8)), rng.normal(size=(3, 6, 8))
         out = ad.attention(q, k, v, 2, np.arange(4) * 4, np.arange(4) * 6)
         assert type(out) is np.ndarray and out.shape == (3, 4, 8)
-        assert out.tobytes() == _batched_attention(q, k, v, 2).tobytes()
+        assert out.tobytes() == _batched_attention(q, k, v, 2).values.tobytes()
 
     def test_gradients_match_composed_ops(self):
         rng = np.random.default_rng(43)

@@ -15,6 +15,7 @@ from motiontok.lexicon import (
     write_token_streams,
 )
 from motiontok.tan import TanConfig, init_weights
+from testkit import reference_kmeans, reference_sq_dists
 
 TINY = TanConfig(hidden_dim=16, encoder_layers=1, attention_heads=2,
                  projection_dim=8, sequence_length=8)
@@ -76,6 +77,50 @@ class TestKmeans:
         for a, b in zip(inertias, inertias[1:]):
             assert b <= a + 1e-9
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("case", ["blobs", "duplicates"])
+    def test_matches_loop_reference_bit_for_bit(self, seed, case):
+        rng = np.random.default_rng(seed)
+        if case == "blobs":
+            pts = rng.normal(size=(5, 6))[rng.integers(0, 5, 90)] + 0.4 * rng.normal(size=(90, 6))
+        else:
+            # 4 distinct points: k > 4 seeds duplicate centroids, whose
+            # clusters come out empty and are re-seeded
+            pts = rng.normal(size=(4, 3))[rng.integers(0, 4, 40)]
+        m = len(pts)
+        for k in (1, 2, 7, m):
+            for max_iters in range(1, 8):
+                lex = kmeans(pts, k, seed=seed, max_iters=max_iters)
+                centroids, metadata = reference_kmeans(pts, k, seed=seed, max_iters=max_iters)
+                assert lex.centroids.tobytes() == centroids.tobytes(), (k, max_iters)
+                assert lex.metadata == metadata, (k, max_iters)
+
+    def test_one_dimension_matches_reference_to_rounding(self):
+        # numpy's mean sums a single column pairwise, kmeans in point order
+        pts = np.random.default_rng(4).normal(size=(300, 1))
+        for k in (1, 3, 8):
+            lex = kmeans(pts, k, seed=k)
+            centroids, metadata = reference_kmeans(pts, k, seed=k)
+            np.testing.assert_allclose(lex.centroids, centroids, rtol=0, atol=1e-15)
+            assert lex.metadata["inertia"] == pytest.approx(metadata["inertia"], rel=1e-12)
+
+    @pytest.mark.parametrize("k", [0, -2, 2.0, True, "3"])
+    def test_k_must_be_integer_at_least_one(self, k):
+        with pytest.raises(ValueError, match="k must be"):
+            kmeans(np.random.default_rng(0).normal(size=(10, 2)), k)
+
+    @pytest.mark.parametrize("points", [np.zeros(8), np.zeros((2, 4, 2)), np.zeros((8, 0))])
+    def test_points_must_be_two_dimensional(self, points):
+        with pytest.raises(ValueError, match="points must be"):
+            kmeans(points, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_points_must_be_finite(self, bad):
+        pts = np.random.default_rng(0).normal(size=(10, 2))
+        pts[3, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            kmeans(pts, 2)
+
     def test_empty_cluster_reseeded(self):
         # duplicate points force empty clusters when k exceeds distinct values
         pts = np.array([[0.0, 0], [0, 0], [0, 0], [5, 5], [5, 5], [9, 0]])
@@ -112,6 +157,34 @@ class TestAssign:
         before = assign(frames, Lexicon(centroids=cents))
         after = assign(frames @ rot.T, Lexicon(centroids=cents @ rot.T))
         assert np.array_equal(before, after)
+
+    def test_matches_brute_force_on_adversarial_sets(self):
+        rng = np.random.default_rng(12)
+        ties = 0
+        for offset in (0.0, 1.0, 1e3, 1e6):
+            for spread in (1.0, 1e-3, 1e-6):
+                # centroids on a small grid, three of them duplicated
+                grid = offset + spread * rng.integers(-3, 4, size=(12, 4)).astype(float)
+                cents = np.concatenate([grid, grid[[0, 5, 11]]])
+                i, j = rng.integers(0, len(cents), size=(2, 40))
+                frames = np.concatenate([
+                    cents,                                               # on a centroid
+                    (cents[i] + cents[j]) / 2,                           # midpoints
+                    offset + spread * rng.integers(-6, 7, size=(40, 4)) / 2,  # half-grid
+                    offset + spread * rng.normal(size=(40, 4)),
+                ])
+                exact = reference_sq_dists(frames, cents)
+                ties += int(((exact == exact.min(axis=1, keepdims=True)).sum(axis=1) > 1).sum())
+                labels = assign(frames, Lexicon(centroids=cents))
+                assert np.array_equal(labels, exact.argmin(axis=1)), (offset, spread)
+        assert ties > 100  # the sets do exercise exact ties
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_frames_rejected(self, bad):
+        frames = np.zeros((3, 2))
+        frames[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            assign(frames, Lexicon(centroids=np.eye(2)))
 
     def test_dim_mismatch_rejected(self):
         lex = Lexicon(centroids=np.zeros((2, 3)))

@@ -91,6 +91,26 @@ class TestFrameNtXent:
             blob.update(v.grad.tobytes())
         assert blob.hexdigest()[:16] == self.PINS[mode]
 
+    @pytest.mark.parametrize("mode", [ALL_FRAMES, EXCLUDE_SAME_CLIP])
+    def test_blocks_with_lengths_match_the_pins(self, mode):
+        # the form train_tan uses: each side's views as one block of rows
+        va, vb, corr = _pinned_batch()
+        blocks = [ad.parameter(np.concatenate(side)) for side in (va, vb)]
+        lengths = tuple([len(v) for v in side] for side in (va, vb))
+        loss = frame_nt_xent(*blocks, corr, mode=mode, tau=0.1, lengths=lengths)
+        ad.backward(loss)
+        blob = hashlib.sha256(loss.values.tobytes())
+        for block in blocks:
+            blob.update(block.grad.tobytes())
+        assert blob.hexdigest()[:16] == self.PINS[mode]
+
+    def test_block_lengths_must_cover_the_rows(self):
+        va, vb, corr = _pinned_batch()
+        lengths = ([len(v) for v in va], [len(v) for v in vb])
+        lengths[1][0] += 1
+        with pytest.raises(ValueError, match="row counts"):
+            frame_nt_xent(np.concatenate(va), np.concatenate(vb), corr, lengths=lengths)
+
     def test_closed_form_single_negative(self):
         # positive similarity 1, one opposite-view negative at similarity -1
         e0 = np.array([1.0, 0.0])
@@ -362,7 +382,7 @@ class TestTrainLoop:
         def watched(va, vb, *args, **kwargs):
             alive.extend(ref() is not None for ref in previous)
             loss = original(va, vb, *args, **kwargs)
-            previous[:] = [weakref.ref(va[0].values), weakref.ref(loss.values)]
+            previous[:] = [weakref.ref(va.values), weakref.ref(loss.values)]
             return loss
 
         monkeypatch.setattr(train_module, "frame_nt_xent", watched)

@@ -12,6 +12,9 @@ here rather than in `motiontok`.
 - `load_perfbench`: a module of the benchmark harness, imported from its file.
 - `payload_digest`: the sha256 prefix of a container file's bytes after its header line.
 - `reference_step_gradients`: one training step's gradients, computed clip by clip.
+- `reference_kmeans`, `reference_sq_dists`: k-means with a per-cluster mean
+  loop and exact (M, K) distances, the reference `lexicon.kmeans` and
+  `lexicon.assign` are held to bit for bit.
 """
 from __future__ import annotations
 
@@ -71,6 +74,65 @@ def reference_step_gradients(weights, pairs, loss_kind: str, train_config,
         loss = ad.mean(ad.concat([ad.reshape(x, (1,)) for x in items], axis=0))
     ad.backward(loss)
     return {name: t.grad.copy() for name, t in weights.tensors.items()}
+
+
+def reference_sq_dists(points: np.ndarray, centroids: np.ndarray,
+                       chunk: int = 512) -> np.ndarray:
+    """Exact squared distances sum((p - c)^2), (M, K), chunked to bound the
+    (chunk, K, D) difference buffer."""
+    m = points.shape[0]
+    out = np.empty((m, centroids.shape[0]))
+    for lo in range(0, m, chunk):
+        diff = points[lo:lo + chunk, None, :] - centroids[None, :, :]
+        out[lo:lo + chunk] = np.einsum("mkd,mkd->mk", diff, diff)
+    return out
+
+
+def reference_kmeans(points: np.ndarray, k: int, seed: int = 0, max_iters: int = 300,
+                     tol: float = 1e-6) -> tuple[np.ndarray, dict]:
+    """(centroids, metadata) of `lexicon.kmeans` as loops: k-means++ seeding
+    over exact distances, a Lloyd loop over Gram-form distances with one
+    mean per cluster, empty clusters re-seeded one at a time to the farthest
+    point, and the inertia from an exact (M, K) pass."""
+    points = np.asarray(points, dtype=np.float64)
+    m = points.shape[0]
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 41]))
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[rng.integers(m)]
+    closest = reference_sq_dists(points, centroids[:1]).min(axis=1)
+    for c in range(1, k):
+        total = closest.sum()
+        if total <= 0.0:
+            centroids[c] = points[rng.integers(m)]
+        else:
+            centroids[c] = points[np.searchsorted(np.cumsum(closest / total), rng.random())]
+        closest = np.minimum(closest, reference_sq_dists(points, centroids[c:c + 1]).min(axis=1))
+
+    p2 = (points * points).sum(axis=1)[:, None]
+    for _ in range(max_iters):
+        c2 = (centroids * centroids).sum(axis=1)[None, :]
+        dists = np.maximum(p2 + c2 - 2.0 * (points @ centroids.T), 0.0)
+        labels = dists.argmin(axis=1)
+        new_centroids = centroids.copy()
+        for c in range(k):
+            members = labels == c
+            if members.any():
+                new_centroids[c] = points[members].mean(axis=0)
+        empties = np.flatnonzero(np.bincount(labels, minlength=k) == 0)
+        if empties.size:
+            point_err = dists[np.arange(m), labels]
+            for c in empties:
+                far = int(point_err.argmax())
+                new_centroids[c] = points[far]
+                point_err[far] = -1.0
+        shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
+        centroids = new_centroids
+        if shift < tol:
+            break
+    final = reference_sq_dists(points, centroids)
+    labels = final.argmin(axis=1)
+    inertia = float(final[np.arange(m), labels].sum())
+    return centroids, {"seed": seed, "inertia": inertia, "points": m}
 
 
 def grad_check(f, x: ad.Tensor, eps: float = 1e-4) -> float:
