@@ -72,7 +72,7 @@ class LexiconOptions:
                  f"lexicon feature_space must be 'projection' or 'hidden', "
                  f"got {self.feature_space!r}")
         _require(self.max_iters >= 1, f"lexicon max_iters must be >= 1, got {self.max_iters}")
-        _require(self.tol >= 0, f"lexicon tol must be >= 0, got {self.tol}")
+        _require(0 <= self.tol < np.inf, f"lexicon tol must be >= 0 and finite, got {self.tol}")
         _require(self.context_window is None or self.context_window >= 1,
                  f"lexicon context_window must be None or >= 1, got {self.context_window}")
 

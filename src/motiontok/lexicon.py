@@ -118,8 +118,12 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iters: int = 300,
     that is bit for bit `points[members].mean(axis=0)`; for D = 1 numpy's
     mean sums pairwise, and the two can differ in the last bits.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    for name, value, least in (("k", k, 1), ("seed", seed, 0), ("max_iters", max_iters, 1)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if (isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating))
+            or not 0 <= tol < np.inf):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] < 1:
         raise ValueError(f"points must be an (M, D) array with D >= 1, got shape {points.shape}")

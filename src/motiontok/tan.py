@@ -28,6 +28,9 @@ class TanConfig:
         if min(self.hidden_dim, self.encoder_layers, self.attention_heads,
                self.projection_dim, self.sequence_length) < 1:
             raise ValueError("all dimensions must be >= 1")
+        if self.hidden_dim % 2:
+            raise ValueError(f"hidden_dim must be even (sine/cosine position pairs), "
+                             f"got {self.hidden_dim}")
         if self.hidden_dim % self.attention_heads != 0:
             raise ValueError(
                 f"hidden_dim {self.hidden_dim} not divisible by heads {self.attention_heads}"
@@ -187,38 +190,38 @@ _CHUNK = 32
 
 
 def _encode_windows(e: np.ndarray, pe: np.ndarray, layer0: dict | None, frames: np.ndarray,
-                    keep: np.ndarray, p: dict, config: TanConfig) -> np.ndarray:
-    """Hidden features (n, r, h) of the kept slots of n windows.
+                    kept: np.ndarray, q_offsets: np.ndarray, p: dict,
+                    config: TanConfig) -> np.ndarray:
+    """Hidden features (r, h) of the r kept slots of n windows.
 
     e: (T, h) embedded frames; pe: (L, h) positions of the L window slots;
-    frames: (n, L) frame of every slot; keep: (n, r) slots whose outputs are
-    wanted. layer0[c], if given, holds (e @ W_c + b_c, pe @ W_c) for c in q,
-    k, v: since (e + pe) @ W = e @ W + pe @ W, the first layer's projections
-    are then gathered, not recomputed per window; None runs the first layer
-    on e[frames] + pe like any other. Earlier layers run on every slot,
-    because their outputs are the next layer's keys and values; the last
-    layer computes its queries, output projection, FFN and norms for the kept
-    slots only.
+    frames: (n, L) frame of every slot; kept: (r,) the wanted slots as rows
+    of the window-major (n * L) slot list, window j's being the entries
+    q_offsets[j]:q_offsets[j + 1]. layer0[c], if given, holds
+    (e @ W_c + b_c, pe @ W_c) for c in q, k, v: since (e + pe) @ W =
+    e @ W + pe @ W, the first layer's projections are then gathered, not
+    recomputed per window; None runs the first layer on e[frames] + pe like
+    any other. Earlier layers run on every slot, because their outputs are
+    the next layer's keys and values; the last layer computes its queries,
+    output projection, FFN and norms for the kept slots only, each window's
+    ragged query rows attending over its own L keys (ad.attention).
     """
-    slots = np.broadcast_to(np.arange(pe.shape[0]), frames.shape)
+    n, length = frames.shape
+    frames, slots = frames.reshape(-1), np.tile(np.arange(length), n)
+    kv_offsets = np.arange(n + 1) * length
     last = config.encoder_layers - 1
-    x = None if layer0 else e[frames] + pe
-    n = frames.shape[0]
-    kv_offsets = np.arange(n + 1) * pe.shape[0]
+    x = None if layer0 else e[frames] + pe[slots]
     for i in range(config.encoder_layers):
-        rows = keep if i == last else slots
-        q_offsets = np.arange(n + 1) * rows.shape[1]
+        rows, offsets = (kept, q_offsets) if i == last else (slice(None), kv_offsets)
         if x is None:
-            rows_f = np.take_along_axis(frames, rows, axis=1)
-            gather = lambda c, f, s: layer0[c][0][f] + layer0[c][1][s]
-            x_rows = e[rows_f] + pe[rows]
-            q = gather("q", rows_f, rows)
-            k, v = gather("k", frames, slots), gather("v", frames, slots)
+            gather = lambda c, r: layer0[c][0][frames[r]] + layer0[c][1][slots[r]]
+            x_rows = e[frames[rows]] + pe[slots[rows]]
+            q, k, v = gather("q", rows), gather("k", slice(None)), gather("v", slice(None))
         else:
-            x_rows = x if rows is slots else np.take_along_axis(x, rows[..., None], axis=1)
+            x_rows = x[rows]
             q = _dense(x_rows, p, f"enc{i}.attn.q")
             k, v = _dense(x, p, f"enc{i}.attn.k"), _dense(x, p, f"enc{i}.attn.v")
-        x = _layer(x_rows, q, k, v, p, i, config.attention_heads, q_offsets, kv_offsets)
+        x = _layer(x_rows, q, k, v, p, i, config.attention_heads, offsets, kv_offsets)
     return x
 
 
@@ -229,46 +232,47 @@ def embed_sequence(seq: SkeletonSequence | np.ndarray, w: TanWeights,
     window embeds every frame inside a centered window of that many frames
     (clamped at the sequence ends), keeping long sequences in the temporal
     regime the encoder was trained on and giving every interior frame the
-    same positional slot. None encodes the whole sequence in one pass.
+    same positional slot. None (or a sequence no longer than the window)
+    encodes the whole sequence as one window.
 
     The result equals running encode (and project) on each frame's window and
-    keeping that frame's row, but each distinct window is encoded once (the
-    clamped windows at the ends serve several frames), the embedding MLP and
-    the first layer's projections run once per frame, and the last layer and
-    the projection head run for the served frames only. Windows are encoded
-    _CHUNK at a time, so the per-window buffers hold at most _CHUNK x window rows.
+    keeping that frame's row, but each distinct window is encoded once: an
+    interior window serves one frame, a clamped window at either end serves
+    several. The distinct windows run in order, _CHUNK per pass whatever
+    they serve, so the per-window buffers hold at most _CHUNK x window rows.
+    The embedding MLP runs once per frame, and with several windows so do
+    the first layer's projections; the last layer and the projection head
+    run for the served frames only.
     """
     if space not in ("projection", "hidden"):
         raise ValueError(f"unknown feature space {space!r}")
     if window is not None and window < 1:
         raise ValueError(f"context window must be None or >= 1, got {window}")
     flat = seq.flat() if isinstance(seq, SkeletonSequence) else np.asarray(seq, np.float64)
-    if flat.ndim != 2 or flat.shape[1] != 3 * w.joints:
-        raise ShapeError(f"embed_sequence: expected (T, {3 * w.joints}) frames, got {flat.shape}")
+    if flat.ndim != 2 or flat.shape[1] != 3 * w.joints or flat.shape[0] < 1:
+        raise ShapeError(f"embed_sequence: expected (T >= 1, {3 * w.joints}) frames, "
+                         f"got {flat.shape}")
     t = flat.shape[0]
     p = {name: tensor.values for name, tensor in w.tensors.items()}
     e = _mlp(flat, p, "embed")
-    windowed = window is not None and t > window
-    if windowed:
-        # (start, kept slots) of each distinct window, grouped by how many
-        # frames it serves: one inside, several at either clamped end
-        starts, first, count = np.unique(np.clip(np.arange(t) - window // 2, 0, t - window),
-                                         return_index=True, return_counts=True)
-        length = window
-        groups = [(starts[count == c], (first - starts)[count == c, None] + np.arange(c))
-                  for c in np.unique(count)]
-    else:
-        length, groups = t, [(np.zeros(1, np.int64), np.arange(t)[None])]
+    length = t if window is None else min(window, t)
+    # window of each frame: starts rise with the frame, so window j serves
+    # the frames served[j]:served[j + 1], at the slots frame - start
+    start = np.clip(np.arange(t) - length // 2, 0, t - length)
+    starts, window_of, count = np.unique(start, return_inverse=True, return_counts=True)
+    served = np.concatenate(([0], np.cumsum(count)))
+    slot = np.arange(t) - start
     pe = positional_encoding(length, w.config.hidden_dim)
     # overlapping windows share frames: project each frame and slot once
     layer0 = ({c: (_dense(e, p, f"enc0.attn.{c}"), pe @ p[f"enc0.attn.{c}.w"]) for c in "qkv"}
-              if windowed else None)
+              if starts.size > 1 else None)
     z = np.empty((t, w.config.hidden_dim))
-    for starts, keep in groups:
-        for lo in range(0, len(starts), _CHUNK):
-            s, kept = starts[lo:lo + _CHUNK, None], keep[lo:lo + _CHUNK]
-            z[s + kept] = _encode_windows(e, pe, layer0, s + np.arange(length), kept, p,
-                                          w.config)
+    for lo in range(0, starts.size, _CHUNK):
+        hi = min(lo + _CHUNK, starts.size)
+        f = slice(served[lo], served[hi])
+        z[f] = _encode_windows(e, pe, layer0, starts[lo:hi, None] + np.arange(length),
+                               (window_of[f] - lo) * length + slot[f],
+                               served[lo:hi + 1] - served[lo], p, w.config)
     if space == "hidden":
         return z
     return ad.l2_normalize(_mlp(z, p, "proj"))

@@ -56,10 +56,13 @@ OPTION_RULES = [
     ("synth", "joints", 0, "joints must be >= 1"),
     ("synth", "fps", 0.0, "fps must be > 0"),
     ("synth", "pose_spread", -0.1, "pose_spread must be >= 0"),
+    ("tan", "hidden_dim", 3, "hidden_dim must be even"),
+    ("tan", "attention_heads", 3, "not divisible by heads"),
     ("train", "seed", -1, "train seed must be an integer >= 0, got -1"),
     ("lexicon", "feature_space", "raw", "feature_space must be"),
     ("lexicon", "max_iters", 0, "max_iters must be >= 1"),
     ("lexicon", "tol", -1e-6, "tol must be >= 0"),
+    ("lexicon", "tol", float("inf"), "tol must be >= 0 and finite"),
     ("lexicon", "context_window", 0, "context_window must be None or >= 1"),
     ("metrics", "n_max", 0, "n_max must be >= 1"),
     ("metrics", "tau_pairs", 0, "tau_pairs must be >= 1"),

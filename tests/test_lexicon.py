@@ -109,6 +109,28 @@ class TestKmeans:
         with pytest.raises(ValueError, match="k must be"):
             kmeans(np.random.default_rng(0).normal(size=(10, 2)), k)
 
+    @pytest.mark.parametrize("seed", [-1, 1.0, True, "0"])
+    def test_seed_must_be_integer_at_least_zero(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            kmeans(np.random.default_rng(0).normal(size=(10, 2)), 2, seed=seed)
+
+    @pytest.mark.parametrize("max_iters", [0, -1, 2.0, True])
+    def test_max_iters_must_be_integer_at_least_one(self, max_iters):
+        # max_iters=0 used to return the k-means++ seeds without a Lloyd step
+        with pytest.raises(ValueError, match="max_iters must be an integer >= 1"):
+            kmeans(np.random.default_rng(0).normal(size=(10, 2)), 2, max_iters=max_iters)
+
+    @pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf, True, "0"])
+    def test_tol_must_be_finite_at_least_zero(self, tol):
+        with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
+            kmeans(np.random.default_rng(0).normal(size=(10, 2)), 2, tol=tol)
+
+    def test_zero_tol_and_numpy_integers_accepted(self):
+        pts = np.random.default_rng(0).normal(size=(10, 2))
+        a = kmeans(pts, np.int64(2), seed=np.int64(3), max_iters=np.int64(5), tol=0)
+        b = kmeans(pts, 2, seed=3, max_iters=5, tol=0.0)
+        np.testing.assert_array_equal(a.centroids, b.centroids)
+
     @pytest.mark.parametrize("points", [np.zeros(8), np.zeros((2, 4, 2)), np.zeros((8, 0))])
     def test_points_must_be_two_dimensional(self, points):
         with pytest.raises(ValueError, match="points must be"):

@@ -4,9 +4,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from motiontok import autodiff as ad
+from motiontok import autodiff as ad, tan
 from motiontok.autodiff import ShapeError, Tensor
 from motiontok.tan import (
+    _CHUNK,
     TanConfig,
     checkpoint_digest,
     embed_sequence,
@@ -32,6 +33,13 @@ class TestConfig:
     def test_head_divisibility(self):
         with pytest.raises(ValueError):
             TanConfig(hidden_dim=10, attention_heads=4)
+
+    @pytest.mark.parametrize("hidden,heads", [(3, 3), (9, 1), (15, 5)])
+    def test_odd_hidden_dim_rejected(self, hidden, heads):
+        # the sine/cosine positions pair up channels; an odd width used to
+        # build and then fail at the first forward
+        with pytest.raises(ValueError, match=f"hidden_dim must be even .*got {hidden}"):
+            TanConfig(hidden_dim=hidden, attention_heads=heads)
 
     def test_ffn_defaults_to_twice_hidden(self):
         w = init_weights(TanConfig(hidden_dim=32, encoder_layers=2, attention_heads=4), 3, 0)
@@ -273,8 +281,9 @@ def _window_oracle(x, w, space, window):
 
 
 class TestWindowedInference:
-    """embed_sequence (hoisted embedding and first-layer projections,
-    last layer on the target row only) against the per-window Tensor forward."""
+    """embed_sequence (hoisted embedding and first-layer projections, distinct
+    windows _CHUNK per pass, last layer on the served rows only) against the
+    per-window Tensor forward."""
 
     WINDOW = 6
 
@@ -286,6 +295,12 @@ class TestWindowedInference:
         (7, WINDOW),    # T = window + 1: two distinct clamped windows
         (23, WINDOW),   # 18 distinct windows: one partial chunk
         (40, WINDOW),   # 35 distinct windows, 33 interior: more than one chunk of 32
+        (_CHUNK + WINDOW - 1, WINDOW),  # one full chunk: both clamped ends and the interior
+        (_CHUNK + WINDOW, WINDOW),      # the right clamped end alone in a second chunk
+        (5, 1),         # window 1: every frame its own one-slot window
+        (40, 1),        # window 1 over two chunks
+        (5, 2),         # window 2: the left clamped window serves two frames
+        (_CHUNK + 2, 2),  # window 2 over two chunks
         (9, None),      # whole sequence
     ])
     def test_matches_per_window_encode(self, layers, space, frames, window):
@@ -298,6 +313,31 @@ class TestWindowedInference:
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-10
 
+    @pytest.mark.parametrize("frames,window,passes", [
+        (5, WINDOW, 1),                    # T < window: the whole clip is one window
+        (7, WINDOW, 1),                    # 2 distinct windows
+        (_CHUNK + WINDOW - 1, WINDOW, 1),  # _CHUNK distinct windows
+        (_CHUNK + WINDOW, WINDOW, 2),      # _CHUNK + 1
+        (3 * _CHUNK + WINDOW, WINDOW, 4),  # 3 _CHUNK + 1
+        (40, 1, 2),                        # 40 one-frame windows
+        (9, None, 1),
+    ])
+    def test_one_pass_per_chunk_of_distinct_windows(self, monkeypatch, frames, window, passes):
+        # windows share a pass whatever number of frames each serves
+        calls = []
+
+        def counted(*args):
+            calls.append(args[3].shape[0])
+            return encode_windows(*args)
+
+        encode_windows = tan._encode_windows
+        monkeypatch.setattr(tan, "_encode_windows", counted)
+        w = tiny_weights()
+        embed_sequence(np.random.default_rng(0).normal(size=(frames, 9)), w, window=window)
+        distinct = 1 if window is None or frames <= window else frames - window + 1
+        assert len(calls) == passes == -(-distinct // _CHUNK)
+        assert sum(calls) == distinct
+
     @pytest.mark.parametrize("window", [0, -3])
     def test_window_below_one_rejected(self, window):
         with pytest.raises(ValueError, match="context window must be None or >= 1"):
@@ -307,16 +347,21 @@ class TestWindowedInference:
         with pytest.raises(ShapeError):
             embed_sequence(np.zeros((4, 8)), tiny_weights(), window=3)
 
+    @pytest.mark.parametrize("window", [None, 3])
+    def test_empty_sequence_rejected(self, window):
+        with pytest.raises(ShapeError, match="T >= 1"):
+            embed_sequence(np.zeros((0, 9)), tiny_weights(), window=window)
+
     # sha256 prefixes of the float64 output bytes. The oracle test above holds
     # embed_sequence to 1e-10; these hold it to the bit, so a reordered
     # floating-point operation in the inference path shows.
     @pytest.mark.parametrize("layers,window,space,digest", [
-        (1, WINDOW, "projection", "6244b6aff9e923ae"),
-        (1, WINDOW, "hidden", "51d38bb1bb3032b7"),
+        (1, WINDOW, "projection", "bec36030106fd296"),
+        (1, WINDOW, "hidden", "04554b6773ec02bf"),
         (1, None, "projection", "969658169446220a"),
         (1, None, "hidden", "057a28d24bf0e2d5"),
-        (3, WINDOW, "projection", "d9858ca03a2c4ff6"),
-        (3, WINDOW, "hidden", "eb6b5846e08fa1de"),
+        (3, WINDOW, "projection", "44d84607198dc65b"),
+        (3, WINDOW, "hidden", "b772bccb4cff4a2d"),
         (3, None, "projection", "71e25d6daab11cf3"),
         (3, None, "hidden", "654b8c9fab874657"),
     ])
