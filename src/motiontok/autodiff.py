@@ -3,8 +3,11 @@
 Every operation records its parents and a backward closure on the result
 tensor; `backward` walks the implicit DAG once in reverse topological order
 and accumulates exact analytic gradients. There is no implicit broadcasting:
-element-wise ops demand identical shapes, and the only shape-bending ops are
-the ones defined here (matmul, linear, add_bias, reductions, reshape, ...).
+`add` demands identical shapes. The module holds only the ops the package
+runs: the encoder's (linear, relu, add, reshape, attention, layer_norm,
+l2_normalize), the slicing and joining of view blocks (slice_tensor, concat),
+and the three training losses, each one node with a hand-written backward
+(nt_xent, triplet_margin, cycle_back).
 
 The ops the encoder forward runs (linear, relu, add, attention, layer_norm,
 l2_normalize) also run graph-free: with no Tensor operand they return the
@@ -164,7 +167,7 @@ def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} must match exactly")
 
 
-# --- element-wise and scalar ops -------------------------------------------
+# --- element-wise ops --------------------------------------------------------
 
 def add(a, b) -> Tensor | np.ndarray:
     if not (isinstance(a, Tensor) or isinstance(b, Tensor)):
@@ -182,65 +185,6 @@ def add(a, b) -> Tensor | np.ndarray:
     return _result(a.values + b.values, (a, b), "add", bwd)
 
 
-def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _same_shape("sub", a, b)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, -g)
-
-    return _result(a.values - b.values, (a, b), "sub", bwd)
-
-
-def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    _same_shape("mul", a, b)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g * b.values)
-        if b.requires_grad:
-            _accumulate(b, g * a.values)
-
-    return _result(a.values * b.values, (a, b), "mul", bwd)
-
-
-def scalar_add(a, c: float) -> Tensor:
-    a = as_tensor(a)
-    c = float(c)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-
-    return _result(a.values + c, (a,), "scalar_add", bwd)
-
-
-def scalar_mul(a, c: float) -> Tensor:
-    a = as_tensor(a)
-    c = float(c)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g * c)
-
-    return _result(a.values * c, (a,), "scalar_mul", bwd)
-
-
-def sqrt(a) -> Tensor:
-    a = as_tensor(a)
-    out_values = np.sqrt(a.values)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g * 0.5 / out_values)
-
-    return _result(out_values, (a,), "sqrt", bwd)
-
-
 def relu(a) -> Tensor | np.ndarray:
     if not isinstance(a, Tensor):
         return np.maximum(a, 0.0)
@@ -253,23 +197,6 @@ def relu(a) -> Tensor | np.ndarray:
 
 
 # --- shape ops ---------------------------------------------------------------
-
-def matmul(a, b) -> Tensor:
-    """2D @ 2D, or stacked matmul on equal leading dimensions."""
-    a, b = as_tensor(a), as_tensor(b)
-    if len(a.shape) < 2 or len(a.shape) != len(b.shape):
-        raise ShapeError(f"matmul: ranks {a.shape} @ {b.shape} unsupported")
-    if a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul: shapes {a.shape} @ {b.shape} incompatible")
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, np.matmul(g, np.swapaxes(b.values, -1, -2)))
-        if b.requires_grad:
-            _accumulate(b, np.matmul(np.swapaxes(a.values, -1, -2), g))
-
-    return _result(np.matmul(a.values, b.values), (a, b), "matmul", bwd)
-
 
 def linear(x, w, b) -> Tensor | np.ndarray:
     """Affine map of the last axis, x (..., din) @ w (din, dout) + b (dout,),
@@ -299,19 +226,6 @@ def linear(x, w, b) -> Tensor | np.ndarray:
             _accumulate(x, np.matmul(g2, w.values.T).reshape(x.shape))
 
     return _result(out, (x, w, b), "linear", bwd)
-
-
-def transpose(a, axes: tuple[int, ...] | None = None) -> Tensor:
-    a = as_tensor(a)
-    if axes is None:
-        axes = tuple(reversed(range(a.values.ndim)))
-    inverse = tuple(np.argsort(axes))
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, np.transpose(g, inverse))
-
-    return _result(np.transpose(a.values, axes), (a,), "transpose", bwd)
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
@@ -351,108 +265,7 @@ def slice_tensor(a, key) -> Tensor:
     return _result(a.values[key], (a,), "slice", bwd)
 
 
-def take_rows(a, indices) -> Tensor:
-    """Gather rows along axis 0 by an integer index array."""
-    a = as_tensor(a)
-    idx = np.asarray(indices, dtype=np.int64)
-
-    def bwd(g):
-        if a.requires_grad:
-            np.add.at(_grad_buffer(a), idx, g)
-
-    return _result(a.values[idx], (a,), "take_rows", bwd)
-
-
-def add_bias(a, b) -> Tensor:
-    """Add a (d,) vector along the last axis of a (..., d) tensor."""
-    a, b = as_tensor(a), as_tensor(b)
-    if b.values.ndim != 1 or a.shape[-1] != b.shape[0]:
-        raise ShapeError(f"add_bias: {a.shape} + {b.shape}")
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, g.reshape(-1, b.shape[0]).sum(axis=0))
-
-    return _result(a.values + b.values, (a, b), "add_bias", bwd)
-
-
-# --- reductions ---------------------------------------------------------------
-
-def tensor_sum(a, axis: int | None = None) -> Tensor:
-    a = as_tensor(a)
-    if axis is None:
-        def bwd(g):
-            if a.requires_grad:
-                _accumulate(a, g)  # scalar g broadcasts
-        return _result(a.values.sum(), (a,), "sum", bwd)
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, np.expand_dims(g, axis))
-
-    return _result(a.values.sum(axis=axis), (a,), "sum", bwd)
-
-
-def mean(a, axis: int | None = None) -> Tensor:
-    a = as_tensor(a)
-    if axis is None:
-        n = a.values.size
-
-        def bwd(g):
-            if a.requires_grad:
-                _accumulate(a, g / n)
-        return _result(a.values.mean(), (a,), "mean", bwd)
-
-    n = a.shape[axis]
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, np.expand_dims(g, axis) / n)
-
-    return _result(a.values.mean(axis=axis), (a,), "mean", bwd)
-
-
-# --- normalization and similarity ops ----------------------------------------
-
-def softmax(a, axis: int = -1) -> Tensor:
-    """Max-shifted softmax along `axis`."""
-    a = as_tensor(a)
-    e = np.exp(a.values - a.values.max(axis=axis, keepdims=True))
-    out_values = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        if a.requires_grad:
-            dot = (g * out_values).sum(axis=axis, keepdims=True)
-            _accumulate(a, out_values * (g - dot))
-
-    return _result(out_values, (a,), "softmax", bwd)
-
-
-def masked_logsumexp(a, mask: np.ndarray, axis: int = -1) -> Tensor:
-    """log(sum(exp(a))) restricted to mask==True entries along `axis`.
-
-    Fused, max-shifted form: safe at low contrastive temperatures where the
-    exponentials alone would overflow.
-    """
-    a = as_tensor(a)
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != a.shape:
-        raise ShapeError(f"masked_logsumexp: mask {mask.shape} vs values {a.shape}")
-    if not mask.any(axis=axis).all():
-        raise ValueError("masked_logsumexp: some rows have no allowed entries")
-    neg_inf = np.where(mask, a.values, -np.inf)
-    m = neg_inf.max(axis=axis, keepdims=True)
-    out_values = (m + np.log(np.exp(neg_inf - m).sum(axis=axis, keepdims=True))).squeeze(axis)
-
-    def bwd(g):
-        if a.requires_grad:
-            soft = np.exp(neg_inf - np.expand_dims(out_values, axis))
-            _accumulate(a, np.expand_dims(g, axis) * soft)
-
-    return _result(out_values, (a,), "masked_logsumexp", bwd)
-
+# --- attention ---------------------------------------------------------------
 
 def segments(offsets, rows: int, what: str) -> tuple[np.ndarray, np.ndarray, bool]:
     """(starts, lengths, uniform) of the segments offsets cut `rows` rows
@@ -560,52 +373,7 @@ def attention(q, k, v, heads: int, q_offsets, kv_offsets) -> Tensor | np.ndarray
     return _result(out, (q, k, v), "attention", bwd)
 
 
-def nt_xent(sim, anchors, positives, mask_ab, mask_ba) -> Tensor:
-    """Symmetric NT-Xent loss (Chen et al. 2020) as one node, from the scaled
-    similarity matrix sim (Ma, Mb) to the mean over 2P terms.
-
-    Pair i scores row anchors[i] of sim against its positive column
-    positives[i] over the entries mask_ab[i] (P, Mb) allows, and column
-    positives[i] against its positive row anchors[i] over the entries mask_ba[i]
-    (P, Ma) allows: each term is the max-shifted masked logsumexp minus the
-    positive entry. anchors and positives must each hold distinct indices, so
-    the backward, (masked softmax - one-hot) * g / 2P per direction, is
-    written into its rows and columns by plain index arithmetic.
-    """
-    sim = as_tensor(sim)
-    anchors = np.asarray(anchors, dtype=np.int64)
-    positives = np.asarray(positives, dtype=np.int64)
-    p = anchors.shape[0]
-    if (sim.values.ndim != 2 or positives.shape != (p,)
-            or mask_ab.shape != (p, sim.shape[1]) or mask_ba.shape != (p, sim.shape[0])):
-        raise ShapeError(f"nt_xent: sim {sim.shape}, {p} anchors, {positives.shape} positives, "
-                         f"masks {mask_ab.shape}/{mask_ba.shape}")
-    if np.unique(anchors).size != p or np.unique(positives).size != p:
-        raise ValueError("nt_xent: anchors and positives must each be distinct")
-    picked = np.arange(p)
-
-    def direction(s, rows_idx, cols_idx, mask):
-        rows = s[rows_idx]
-        neg_inf = np.where(mask, rows, -np.inf)
-        m = neg_inf.max(axis=1, keepdims=True)
-        lse = (m + np.log(np.exp(neg_inf - m).sum(axis=1, keepdims=True))).squeeze(1)
-        return lse - rows[picked, cols_idx], neg_inf, lse
-
-    terms_ab, neg_ab, lse_ab = direction(sim.values, anchors, positives, mask_ab)
-    terms_ba, neg_ba, lse_ba = direction(sim.values.T, positives, anchors, mask_ba)
-    n = 2 * p
-
-    def bwd(g):
-        scale = g / n
-        buf = _grad_buffer(sim)
-        for view, rows, cols, neg_inf, lse in ((buf, anchors, positives, neg_ab, lse_ab),
-                                               (buf.T, positives, anchors, neg_ba, lse_ba)):
-            grad = scale * np.exp(neg_inf - lse[:, None])
-            grad[picked, cols] -= scale
-            view[rows] += grad
-
-    return _result(np.concatenate([terms_ab, terms_ba]).mean(), (sim,), "nt_xent", bwd)
-
+# --- normalization -----------------------------------------------------------
 
 def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor | np.ndarray:
     """Normalize over the last axis to mean 0 / variance 1, then apply the
@@ -659,19 +427,182 @@ def l2_normalize(a) -> Tensor | np.ndarray:
     return _result(out_values, (a,), "l2_normalize", bwd)
 
 
-def dot_last(a, b) -> Tensor:
-    """Dot product over the last axis of two same-shape tensors."""
+# --- losses ------------------------------------------------------------------
+
+def nt_xent(a, b, inv_tau: float, anchors, positives, mask_ab, mask_ba) -> Tensor:
+    """Symmetric NT-Xent loss (Chen et al. 2020) as one node, from the view
+    blocks a (Ma, F) and b (Mb, F) to the mean over 2P terms.
+
+    The similarities are sim = (a @ b^T) * inv_tau, formed and differentiated
+    by the numpy calls of the matmul, transpose and scale ops they replaced.
+    Pair i scores row anchors[i] of sim against its positive column
+    positives[i] over the entries mask_ab[i] (P, Mb) allows, and column
+    positives[i] against its positive row anchors[i] over the entries mask_ba[i]
+    (P, Ma) allows: each term is the max-shifted masked logsumexp minus the
+    positive entry. anchors and positives must each hold distinct indices, so
+    the backward, (masked softmax - one-hot) * g / 2P per direction, is
+    written into its rows and columns by plain index arithmetic.
+    """
     a, b = as_tensor(a), as_tensor(b)
-    _same_shape("dot_last", a, b)
+    anchors = np.asarray(anchors, dtype=np.int64)
+    positives = np.asarray(positives, dtype=np.int64)
+    p = anchors.shape[0]
+    if (a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[1]
+            or positives.shape != (p,)
+            or mask_ab.shape != (p, b.shape[0]) or mask_ba.shape != (p, a.shape[0])):
+        raise ShapeError(f"nt_xent: blocks {a.shape}/{b.shape}, {p} anchors, "
+                         f"{positives.shape} positives, masks {mask_ab.shape}/{mask_ba.shape}")
+    if np.unique(anchors).size != p or np.unique(positives).size != p:
+        raise ValueError("nt_xent: anchors and positives must each be distinct")
+    inv_tau = float(inv_tau)
+    sim = np.matmul(a.values, np.transpose(b.values)) * inv_tau
+    picked = np.arange(p)
+
+    def direction(s, rows_idx, cols_idx, mask):
+        rows = s[rows_idx]
+        neg_inf = np.where(mask, rows, -np.inf)
+        m = neg_inf.max(axis=1, keepdims=True)
+        lse = (m + np.log(np.exp(neg_inf - m).sum(axis=1, keepdims=True))).squeeze(1)
+        return lse - rows[picked, cols_idx], neg_inf, lse
+
+    terms_ab, neg_ab, lse_ab = direction(sim, anchors, positives, mask_ab)
+    terms_ba, neg_ba, lse_ba = direction(sim.T, positives, anchors, mask_ba)
+    n = 2 * p
 
     def bwd(g):
-        ge = np.expand_dims(g, -1)
+        scale = g / n
+        g_sim = np.zeros_like(sim)
+        for view, rows, cols, neg_inf, lse in ((g_sim, anchors, positives, neg_ab, lse_ab),
+                                               (g_sim.T, positives, anchors, neg_ba, lse_ba)):
+            grad = scale * np.exp(neg_inf - lse[:, None])
+            grad[picked, cols] -= scale
+            view[rows] += grad
+        g_sim *= inv_tau
         if a.requires_grad:
-            _accumulate(a, ge * b.values)
+            _accumulate(a, np.matmul(g_sim, b.values))
         if b.requires_grad:
-            _accumulate(b, ge * a.values)
+            _accumulate(b, np.matmul(a.values.T, g_sim).T)
 
-    return _result((a.values * b.values).sum(axis=-1), (a, b), "dot_last", bwd)
+    return _result(np.concatenate([terms_ab, terms_ba]).mean(), (a, b), "nt_xent", bwd)
+
+
+def triplet_margin(a, b, anchors, positives, negatives, clips, margin: float) -> Tensor:
+    """Triplet margin loss (the TCN baseline, Sermanet et al. 2018) over many
+    clips as one node.
+
+    Anchor i is row anchors[i] of a, its positive row positives[i] of a and
+    its negatives the rows negatives[i] (P, K) of b. Each (anchor, negative)
+    pair gives the hinge max(0, |a_i - a_pos| - |a_i - b_neg| + margin);
+    clips[i] names anchor i's clip (every clip 0 .. C-1 has anchors), and the
+    value is the mean over clips of each clip's mean hinge. A zero distance
+    passes no gradient.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    anchors, positives, negatives, clips = (np.asarray(x, dtype=np.int64) for x in
+                                            (anchors, positives, negatives, clips))
+    p = anchors.shape[0]
+    if (a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[1]
+            or positives.shape != (p,) or clips.shape != (p,)
+            or negatives.ndim != 2 or negatives.shape[0] != p):
+        raise ShapeError(f"triplet_margin: blocks {a.shape}/{b.shape}, {p} anchors, "
+                         f"{positives.shape} positives, {negatives.shape} negatives, "
+                         f"{clips.shape} clips")
+    per_clip = np.bincount(clips)
+    if p == 0 or not per_clip.all():
+        raise ValueError("triplet_margin: every clip 0 .. C-1 needs an anchor")
+    diff_ap = a.values[anchors] - a.values[positives]  # (P, F)
+    diff_an = a.values[anchors][:, None, :] - b.values[negatives]  # (P, K, F)
+    d_ap = np.sqrt((diff_ap * diff_ap).sum(axis=-1))
+    d_an = np.sqrt((diff_an * diff_an).sum(axis=-1))
+    hinge = d_ap[:, None] - d_an + float(margin)
+    k = negatives.shape[1]
+    clip_sums = np.bincount(clips, weights=np.maximum(hinge, 0.0).sum(axis=1))
+    value = (clip_sums / (per_clip * k)).mean()
+
+    def bwd(g):
+        # d value / d hinge for every active (anchor, negative) pair
+        g_hinge = (g / (per_clip.size * k * per_clip))[clips][:, None] * (hinge > 0.0)
+        inv = lambda d: np.divide(1.0, d, out=np.zeros_like(d), where=d > 0.0)
+        g_ap = (g_hinge.sum(axis=1) * inv(d_ap))[:, None] * diff_ap
+        g_an = (-g_hinge * inv(d_an))[..., None] * diff_an
+        if a.requires_grad:
+            ga = _grad_buffer(a)
+            np.add.at(ga, anchors, g_ap + g_an.sum(axis=1))
+            np.add.at(ga, positives, -g_ap)
+        if b.requires_grad:
+            np.add.at(_grad_buffer(b), negatives.reshape(-1), -g_an.reshape(-1, b.shape[1]))
+
+    return _result(value, (a, b), "triplet_margin", bwd)
+
+
+def cycle_back(a, b, lengths_a, lengths_b, temperature: float) -> Tensor:
+    """Cycle-back consistency loss (the TCC baseline, Dwibedi et al. 2019)
+    over many clips as one node.
+
+    Clip c is lengths_a[c] consecutive rows of a and lengths_b[c] of b. Frame
+    i of its A view has the soft nearest neighbour nn_i = sum_j w_ij b_j in
+    its B view, w_i = softmax_j(-|a_i - b_j|^2 / temperature); the clip's loss
+    is the mean over i of the cross-entropy of softmax_k(-|nn_i - a_k|^2 /
+    temperature) against k = i, the frame the cycle started from. The value is
+    the mean over clips. All clips run as one batch padded to the longest
+    views, the padding masked out of both softmaxes and of the means.
+    """
+    a, b = as_tensor(a), as_tensor(b)
+    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise ShapeError(f"cycle_back: blocks {a.shape}/{b.shape}")
+    _, len_a, _ = segments(np.concatenate([[0], np.cumsum(lengths_a)]), a.shape[0],
+                           "cycle_back: lengths_a")
+    _, len_b, _ = segments(np.concatenate([[0], np.cumsum(lengths_b)]), b.shape[0],
+                           "cycle_back: lengths_b")
+    if len_a.size != len_b.size:
+        raise ShapeError(f"cycle_back: {len_a.size} A and {len_b.size} B clips")
+    c, f = len_a.size, a.shape[1]
+    scale = -1.0 / float(temperature)
+    valid_a = np.arange(len_a.max()) < len_a[:, None]  # (C, Ta): real rows of the padded batch
+    valid_b = np.arange(len_b.max()) < len_b[:, None]
+    x = np.zeros(valid_a.shape + (f,))
+    x[valid_a] = a.values
+    y = np.zeros(valid_b.shape + (f,))
+    y[valid_b] = b.values
+    swap = lambda t: np.swapaxes(t, 1, 2)
+
+    def logits(u, v, valid_v):
+        """-|u_i - v_j|^2 / temperature, (C, n, m), -inf at padded v rows."""
+        d = (u * u).sum(axis=-1)[:, :, None] + (v * v).sum(axis=-1)[:, None, :]
+        d -= 2.0 * np.matmul(u, swap(v))
+        return np.where(valid_v[:, None, :], d * scale, -np.inf)
+
+    def sq_dist_grads(g_d, u, v):
+        """Gradients of sum(g_d * d) for d_ij = |u_i - v_j|^2, to u and to v."""
+        return (2.0 * (g_d.sum(axis=2)[:, :, None] * u - np.matmul(g_d, v)),
+                2.0 * (g_d.sum(axis=1)[:, :, None] * v - np.matmul(swap(g_d), u)))
+
+    s1 = logits(x, y, valid_b)
+    e = np.exp(s1 - s1.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+    nn = np.matmul(w, y)
+    s2 = logits(nn, x, valid_a)
+    m = s2.max(axis=-1, keepdims=True)
+    lse = m + np.log(np.exp(s2 - m).sum(axis=-1, keepdims=True))  # (C, Ta, 1)
+    diag = np.arange(valid_a.shape[1])
+    terms = np.where(valid_a, lse[..., 0] - s2[:, diag, diag], 0.0)
+    value = (terms.sum(axis=1) / len_a).mean()
+
+    def bwd(g):
+        g_terms = (g / (c * len_a))[:, None] * valid_a
+        g_s2 = g_terms[..., None] * np.exp(s2 - lse)
+        g_s2[:, diag, diag] -= g_terms
+        g_nn, gx = sq_dist_grads(g_s2 * scale, nn, x)
+        g_w = np.matmul(g_nn, swap(y))
+        gy = np.matmul(swap(w), g_nn)
+        g_s1 = w * (g_w - (g_w * w).sum(axis=-1, keepdims=True))
+        gx1, gy1 = sq_dist_grads(g_s1 * scale, x, y)
+        if a.requires_grad:
+            _accumulate(a, (gx + gx1)[valid_a])
+        if b.requires_grad:
+            _accumulate(b, (gy + gy1)[valid_b])
+
+    return _result(value, (a, b), "cycle_back", bwd)
 
 
 # --- graph walk ---------------------------------------------------------------

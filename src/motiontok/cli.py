@@ -39,6 +39,11 @@ def _require(ok: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _is_count(value, least: int = 1) -> bool:
+    """value is a plain int (not a bool, float or numpy scalar) >= least."""
+    return type(value) is int and value >= least
+
+
 @dataclass(frozen=True)
 class SynthOptions:
     primitives: int = 8
@@ -53,7 +58,7 @@ class SynthOptions:
         for name in ("primitives", "sequences", "primitives_per_sequence",
                      "frames_per_primitive", "joints"):
             value = getattr(self, name)
-            _require(value >= 1, f"synth {name} must be >= 1, got {value}")
+            _require(_is_count(value), f"synth {name} must be an integer >= 1, got {value!r}")
         _require(self.fps > 0, f"synth fps must be > 0, got {self.fps}")
         _require(self.pose_spread >= 0, f"synth pose_spread must be >= 0, got {self.pose_spread}")
 
@@ -67,14 +72,16 @@ class LexiconOptions:
     context_window: int | None = None  # None: the encoder's sequence_length
 
     def __post_init__(self):
-        _require(self.k >= 1, f"lexicon k must be >= 1, got {self.k}")
+        _require(_is_count(self.k), f"lexicon k must be an integer >= 1, got {self.k!r}")
         _require(self.feature_space in ("projection", "hidden"),
                  f"lexicon feature_space must be 'projection' or 'hidden', "
                  f"got {self.feature_space!r}")
-        _require(self.max_iters >= 1, f"lexicon max_iters must be >= 1, got {self.max_iters}")
+        _require(_is_count(self.max_iters),
+                 f"lexicon max_iters must be an integer >= 1, got {self.max_iters!r}")
         _require(0 <= self.tol < np.inf, f"lexicon tol must be >= 0 and finite, got {self.tol}")
-        _require(self.context_window is None or self.context_window >= 1,
-                 f"lexicon context_window must be None or >= 1, got {self.context_window}")
+        _require(self.context_window is None or _is_count(self.context_window),
+                 f"lexicon context_window must be None or an integer >= 1, "
+                 f"got {self.context_window!r}")
 
 
 @dataclass(frozen=True)
@@ -85,12 +92,15 @@ class MetricOptions:
     sweep_k: tuple[int, ...] = tuple(range(10, 151, 10))
 
     def __post_init__(self):
-        _require(self.n_max >= 1, f"metrics n_max must be >= 1, got {self.n_max}")
-        _require(self.tau_pairs >= 1, f"metrics tau_pairs must be >= 1, got {self.tau_pairs}")
+        _require(_is_count(self.n_max),
+                 f"metrics n_max must be an integer >= 1, got {self.n_max!r}")
+        _require(_is_count(self.tau_pairs),
+                 f"metrics tau_pairs must be an integer >= 1, got {self.tau_pairs!r}")
         _require(0 < self.eval_fraction < 1,
                  f"metrics eval_fraction must be in (0, 1), got {self.eval_fraction}")
-        _require(len(self.sweep_k) > 0 and all(k >= 1 for k in self.sweep_k),
-                 f"metrics sweep_k must be non-empty with every K >= 1, got {self.sweep_k}")
+        _require(len(self.sweep_k) > 0 and all(_is_count(k) for k in self.sweep_k),
+                 f"metrics sweep_k must be non-empty with every K an integer >= 1, "
+                 f"got {self.sweep_k!r}")
 
 
 @dataclass(frozen=True)
@@ -104,8 +114,8 @@ class DetectionOptions:
         _require(len(self.scales_seconds) > 0 and all(s > 0 for s in self.scales_seconds),
                  f"detection scales_seconds must be non-empty and all > 0, "
                  f"got {self.scales_seconds}")
-        _require(self.stride is None or self.stride >= 1,
-                 f"detection stride must be None or >= 1, got {self.stride}")
+        _require(self.stride is None or _is_count(self.stride),
+                 f"detection stride must be None or an integer >= 1, got {self.stride!r}")
         _require(0 < self.nms_iou <= 1, f"detection nms_iou must be in (0, 1], got {self.nms_iou}")
         _require(0 < self.map_theta <= 1,
                  f"detection map_theta must be in (0, 1], got {self.map_theta}")
@@ -118,11 +128,12 @@ class CompositionOptions:
     blend_frames: int = 5
 
     def __post_init__(self):
-        _require(self.words >= 1, f"composition words must be >= 1, got {self.words}")
+        _require(_is_count(self.words),
+                 f"composition words must be an integer >= 1, got {self.words!r}")
         _require(self.boundary_threshold > 0,
                  f"composition boundary_threshold must be > 0, got {self.boundary_threshold}")
-        _require(self.blend_frames >= 1,
-                 f"composition blend_frames must be >= 1, got {self.blend_frames}")
+        _require(_is_count(self.blend_frames),
+                 f"composition blend_frames must be an integer >= 1, got {self.blend_frames!r}")
 
 
 @dataclass(frozen=True)
@@ -140,9 +151,9 @@ class PipelineConfig:
     composition: CompositionOptions = field(default_factory=CompositionOptions)
 
     def __post_init__(self):
-        _require(type(self.seed) is int and self.seed >= 0,
+        _require(_is_count(self.seed, 0),
                  f"seed must be an integer >= 0, got {self.seed!r}")
-        _require(type(self.threads) is int and self.threads >= 1,
+        _require(_is_count(self.threads),
                  f"threads must be an integer >= 1, got {self.threads!r}")
 
     def digest(self) -> str:

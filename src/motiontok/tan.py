@@ -25,9 +25,11 @@ class TanConfig:
     sequence_length: int = 64
 
     def __post_init__(self):
-        if min(self.hidden_dim, self.encoder_layers, self.attention_heads,
-               self.projection_dim, self.sequence_length) < 1:
-            raise ValueError("all dimensions must be >= 1")
+        for name in ("hidden_dim", "encoder_layers", "attention_heads", "projection_dim",
+                     "sequence_length"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"tan {name} must be an integer >= 1, got {value!r}")
         if self.hidden_dim % 2:
             raise ValueError(f"hidden_dim must be even (sine/cosine position pairs), "
                              f"got {self.hidden_dim}")

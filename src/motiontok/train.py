@@ -42,16 +42,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.batch_size, self.frames) < 1 or self.epochs < 0:
-            raise ValueError("batch_size, frames must be >= 1 and epochs >= 0")
+        for name, least in (("batch_size", 1), ("frames", 1), ("epochs", 0), ("warmup_epochs", 0),
+                            ("seed", 0)):
+            value = getattr(self, name)
+            if type(value) is not int or value < least:
+                raise ValueError(f"train {name} must be an integer >= {least}, got {value!r}")
         if not (self.peak_lr > 0 and self.temperature > 0):
             raise ValueError("peak_lr, temperature must be positive")
         if self.warmup_epochs > self.epochs:
             raise ValueError("warmup_epochs cannot exceed epochs")
         if self.negative_mode not in (ALL_FRAMES, EXCLUDE_SAME_CLIP):
             raise ValueError(f"unknown negative_mode {self.negative_mode!r}")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValueError(f"train seed must be an integer >= 0, got {self.seed!r}")
 
 
 def _denominator_mask(positive_cols: np.ndarray, anchor_clip: np.ndarray,
@@ -75,6 +76,16 @@ def _denominator_mask(positive_cols: np.ndarray, anchor_clip: np.ndarray,
     return denom_mask
 
 
+def _view_lengths(v_a, v_b, lengths) -> tuple[np.ndarray, np.ndarray]:
+    """Per-clip view lengths of the blocks v_a, v_b, checked against their rows."""
+    len_a, len_b = (np.asarray(n, dtype=np.int64) for n in lengths)
+    if (len_a.shape != len_b.shape or len_a.ndim != 1 or len_a.sum() != v_a.shape[0]
+            or len_b.sum() != v_b.shape[0]):
+        raise ValueError("clip lengths must sum to the row counts of v_a and v_b, "
+                         "one pair per clip")
+    return len_a, len_b
+
+
 def frame_nt_xent(v_a, v_b, correspondences: list[list[tuple[int, int]]],
                   mode: str = EXCLUDE_SAME_CLIP, tau: float = 0.1,
                   lengths: tuple | None = None) -> Tensor:
@@ -95,10 +106,8 @@ def frame_nt_xent(v_a, v_b, correspondences: list[list[tuple[int, int]]],
         len_b = [v.shape[0] for v in views_b]
         big_a, big_b = ad.concat(views_a, axis=0), ad.concat(views_b, axis=0)
     else:
-        len_a, len_b = (np.asarray(n, dtype=np.int64) for n in lengths)
         big_a, big_b = ad.as_tensor(v_a), ad.as_tensor(v_b)
-        if len_a.sum() != big_a.shape[0] or len_b.sum() != big_b.shape[0]:
-            raise ValueError("clip lengths must sum to the row counts of v_a and v_b")
+        len_a, len_b = _view_lengths(big_a, big_b, lengths)
     if len(len_a) != len(len_b) or len(len_a) != len(correspondences):
         raise ValueError("views and correspondences must agree in clip count")
     if not tau > 0:
@@ -115,8 +124,7 @@ def frame_nt_xent(v_a, v_b, correspondences: list[list[tuple[int, int]]],
     rows_a = np.array([off_a[n] + ia for n, ia, _ in pairs])
     cols_b = np.array([off_b[n] + ib for n, _, ib in pairs])
 
-    sim_ab = ad.scalar_mul(ad.matmul(big_a, ad.transpose(big_b)), 1.0 / tau)
-    return ad.nt_xent(sim_ab, rows_a, cols_b,
+    return ad.nt_xent(big_a, big_b, 1.0 / tau, rows_a, cols_b,
                       _denominator_mask(cols_b, pair_clip, clip_of_b, mode),
                       _denominator_mask(rows_a, pair_clip, clip_of_a, mode))
 
@@ -169,12 +177,11 @@ def adam_step(weights: TanWeights, state: AdamState, lr: float,
 
 # --- baseline losses -------------------------------------------------------------
 
-def tcn_loss(v_a: Tensor, v_b: Tensor, anchors: int, rng: np.random.Generator,
-             margin: float = 2.0, pos_window: int = 2,
-             neg_multiplier: int = 4) -> Tensor:
-    """Triplet margin loss: anchors and positives from view A, negatives from
-    view B outside an exclusion interval of twice the positive window."""
-    t_a, t_b = v_a.shape[0], v_b.shape[0]
+def _tcn_triplets(t_a: int, t_b: int, anchors: int, rng: np.random.Generator,
+                  pos_window: int, neg_multiplier: int):
+    """One clip's (anchor, positive, negatives) frame indices: anchors and
+    positives in view A, negatives in view B outside an exclusion interval of
+    twice the positive window."""
     if t_a < 2:
         raise ValueError("tcn_loss needs at least 2 frames in the anchor view")
     exclusion = 2 * pos_window
@@ -185,52 +192,45 @@ def tcn_loss(v_a: Tensor, v_b: Tensor, anchors: int, rng: np.random.Generator,
             f"views of {t_a}/{t_b} frames cannot host a +-{exclusion}-frame "
             f"exclusion interval"
         )
-    count = min(anchors, len(hosts))
-    anchor_idx = np.sort(rng.choice(hosts, size=count, replace=False))
-    pos_idx, neg_idx, anc_rep = [], [], []
+    anchor_idx = np.sort(rng.choice(hosts, size=min(anchors, len(hosts)), replace=False))
+    pos_idx, neg_idx = [], []
     for a in anchor_idx:
         offs = [o for o in range(-pos_window, pos_window + 1)
                 if o != 0 and 0 <= a + o < t_a]
         pos_idx.append(a + offs[rng.integers(len(offs))])
         valid = np.flatnonzero(np.abs(np.arange(t_b) - a) > exclusion)
-        chosen = rng.choice(valid, size=neg_multiplier, replace=valid.size < neg_multiplier)
-        neg_idx.extend(int(j) for j in chosen)
-        anc_rep.extend([int(a)] * neg_multiplier)
-    anc_per_pos = np.asarray(anchor_idx)
-    pos_per_anchor = np.asarray(pos_idx)
-
-    def dist(x: Tensor, rows_x, y: Tensor, rows_y) -> Tensor:
-        diff = ad.sub(ad.take_rows(x, rows_x), ad.take_rows(y, rows_y))
-        return ad.sqrt(ad.tensor_sum(ad.mul(diff, diff), axis=1))
-
-    d_ap = dist(v_a, anc_per_pos, v_a, pos_per_anchor)
-    d_ap_rep = ad.take_rows(d_ap, np.repeat(np.arange(count), neg_multiplier))
-    d_an = dist(v_a, np.asarray(anc_rep), v_b, np.asarray(neg_idx))
-    terms = ad.relu(ad.scalar_add(ad.sub(d_ap_rep, d_an), margin))
-    return ad.mean(terms)
+        neg_idx.append(rng.choice(valid, size=neg_multiplier, replace=valid.size < neg_multiplier))
+    return anchor_idx, np.asarray(pos_idx), np.asarray(neg_idx)
 
 
-def _pairwise_sq_dists(x: Tensor, y: Tensor) -> Tensor:
-    """(Tx, Ty) matrix of squared Euclidean distances between row sets."""
-    nx = ad.dot_last(x, x)
-    ny = ad.dot_last(y, y)
-    cross = ad.scalar_mul(ad.matmul(x, ad.transpose(y)), -2.0)
-    with_ny = ad.add_bias(cross, ny)
-    return ad.transpose(ad.add_bias(ad.transpose(with_ny), nx))
+def tcn_loss(v_a, v_b, lengths, anchors: int, rng: np.random.Generator,
+             margin: float = 2.0, pos_window: int = 2, neg_multiplier: int = 4) -> Tensor:
+    """Triplet margin loss of the TCN baseline over the clips of two (N, F)
+    view blocks, as one node: clip n is lengths[0][n] rows of v_a and
+    lengths[1][n] rows of v_b. Each clip draws up to `anchors` anchors and
+    their positives from its A view and `neg_multiplier` negatives per anchor
+    from its B view (rng calls clip by clip); the value is the mean over clips
+    of each clip's mean hinge."""
+    len_a, len_b = _view_lengths(v_a, v_b, lengths)
+    off_a, off_b = np.cumsum(len_a) - len_a, np.cumsum(len_b) - len_b
+    anc, pos, neg, clip = [], [], [], []
+    for n, (t_a, t_b) in enumerate(zip(len_a, len_b)):
+        a, p, ng = _tcn_triplets(int(t_a), int(t_b), anchors, rng, pos_window, neg_multiplier)
+        anc.append(off_a[n] + a)
+        pos.append(off_a[n] + p)
+        neg.append(off_b[n] + ng)
+        clip.append(np.full(a.size, n))
+    return ad.triplet_margin(v_a, v_b, np.concatenate(anc), np.concatenate(pos),
+                             np.concatenate(neg), np.concatenate(clip), margin)
 
 
-def tcc_loss(v_a: Tensor, v_b: Tensor, tau_soft: float = 0.1) -> Tensor:
-    """Cycle-back consistency between two views: soft nearest neighbor in B,
-    then cross-entropy that its nearest frame in A is the starting frame."""
-    d_ab = _pairwise_sq_dists(v_a, v_b)
-    weights = ad.softmax(ad.scalar_mul(d_ab, -1.0 / tau_soft), axis=-1)
-    soft_nn = ad.matmul(weights, v_b)
-    logits = ad.scalar_mul(_pairwise_sq_dists(soft_nn, v_a), -1.0 / tau_soft)
-    t_a = v_a.shape[0]
-    eye = np.eye(t_a)
-    lse = ad.masked_logsumexp(logits, np.ones((t_a, t_a), dtype=bool), axis=1)
-    pos = ad.tensor_sum(ad.mul(logits, Tensor(eye)), axis=1)
-    return ad.mean(ad.sub(lse, pos))
+def tcc_loss(v_a, v_b, lengths, tau_soft: float = 0.1) -> Tensor:
+    """Cycle-back consistency loss of the TCC baseline over the clips of two
+    (N, F) view blocks, as one node (clip n is lengths[0][n] rows of v_a and
+    lengths[1][n] rows of v_b): soft nearest neighbour in B, then the
+    cross-entropy that its nearest frame in A is the starting frame, averaged
+    over each clip's A frames and then over clips."""
+    return ad.cycle_back(v_a, v_b, *lengths, tau_soft)
 
 
 # --- training loop ---------------------------------------------------------------
@@ -323,25 +323,20 @@ def train_tan(corpus: LabeledCorpus, tan_config: TanConfig, train_config: TrainC
             views = [p.view_a.flat() for p in pairs] + [p.view_b.flat() for p in pairs]
             offsets = np.cumsum([0] + [len(v) for v in views])
             z = project(encode(np.concatenate(views), weights, offsets), weights)
+            # every loss takes the A and B blocks whole: their rows are the clips' views in order
             n_clips = len(pairs)
+            va = ad.slice_tensor(z, (slice(0, offsets[n_clips]),))
+            vb = ad.slice_tensor(z, (slice(offsets[n_clips], None),))
+            lengths = np.diff(offsets)
+            lengths = (lengths[:n_clips], lengths[n_clips:])
             if loss_kind == "tan":
-                # the loss takes the A and B blocks whole: its rows are the clips' views in order
-                lengths = np.diff(offsets)
-                loss = frame_nt_xent(ad.slice_tensor(z, (slice(0, offsets[n_clips]),)),
-                                     ad.slice_tensor(z, (slice(offsets[n_clips], None),)),
-                                     [p.correspondences for p in pairs],
+                loss = frame_nt_xent(va, vb, [p.correspondences for p in pairs],
                                      mode=train_config.negative_mode,
-                                     tau=train_config.temperature,
-                                     lengths=(lengths[:n_clips], lengths[n_clips:]))
+                                     tau=train_config.temperature, lengths=lengths)
+            elif loss_kind == "tcn":
+                loss = tcn_loss(va, vb, lengths, TCN_ANCHORS, rng)
             else:
-                clips = [ad.slice_tensor(z, (slice(lo, hi),))
-                         for lo, hi in zip(offsets[:-1], offsets[1:])]
-                va, vb = clips[:n_clips], clips[n_clips:]
-                if loss_kind == "tcn":
-                    items = [tcn_loss(a, b, TCN_ANCHORS, rng) for a, b in zip(va, vb)]
-                else:
-                    items = [tcc_loss(a, b) for a, b in zip(va, vb)]
-                loss = ad.mean(ad.concat([ad.reshape(x, (1,)) for x in items], axis=0))
+                loss = tcc_loss(va, vb, lengths)
 
             lr = lr_at(global_step, train_config, steps_per_epoch)
             weights.zero_grad()
@@ -359,7 +354,7 @@ def train_tan(corpus: LabeledCorpus, tan_config: TanConfig, train_config: TrainC
             gnorms.append(gnorm)
             global_step += 1
             # drop this step's graph before the next step builds its own
-            loss = z = clips = va = vb = items = None
+            loss = z = va = vb = None
         history.append(EpochStats(
             epoch=epoch, mean_loss=float(np.mean(losses)), lr=lr,
             mean_grad_norm=float(np.mean(gnorms)), max_grad_norm=float(np.max(gnorms)),

@@ -29,7 +29,8 @@ from motiontok.tan import TanConfig, encode, init_weights, project
 from motiontok.train import frame_nt_xent, tcc_loss, tcn_loss, train_tan
 
 from test_autodiff import _catalog_cases, _param
-from testkit import exact_block_entropies, grad_check, raw_embed, stationary_distribution
+from testkit import (exact_block_entropies, grad_check, raw_embed, stationary_distribution,
+                     weighted_sum)
 
 
 pytestmark = pytest.mark.slow
@@ -116,26 +117,27 @@ def test_criterion_1_gradient_integrity():
     worst["frame_nt_xent"] = grad_check(
         nt_xent_probe, ad.parameter(rng.normal(size=(7, 5))), eps=1e-4)
 
-    tcn_vb = Tensor(rng.normal(size=(14, 4)))
+    # the baselines over two clips whose views differ in length
+    tcn_vb = rng.normal(size=(21, 4))
     worst["tcn_loss"] = grad_check(
-        lambda t: tcn_loss(t, tcn_vb, anchors=3, rng=np.random.default_rng(3),
-                           margin=1.0, pos_window=2, neg_multiplier=2),
-        ad.parameter(rng.normal(size=(14, 4)) * 2.0), eps=1e-5)
+        lambda t: tcn_loss(t, tcn_vb, ([9, 12], [14, 7]), anchors=3,
+                           rng=np.random.default_rng(3), margin=1.0, pos_window=2,
+                           neg_multiplier=2),
+        ad.parameter(rng.normal(size=(21, 4)) * 2.0), eps=1e-5)
 
-    tcc_vb = Tensor(rng.normal(size=(5, 3)))
+    tcc_vb = rng.normal(size=(8, 3))
     worst["tcc_loss"] = grad_check(
-        lambda t: tcc_loss(t, tcc_vb, tau_soft=0.5),
-        ad.parameter(rng.normal(size=(4, 3))), eps=1e-4)
+        lambda t: tcc_loss(t, tcc_vb, ([4, 3], [5, 3]), tau_soft=0.5),
+        ad.parameter(rng.normal(size=(7, 3))), eps=1e-4)
 
     tiny = TanConfig(hidden_dim=16, encoder_layers=1, attention_heads=2,
                      projection_dim=8, sequence_length=6)
     w = init_weights(tiny, joints=3, seed=4)
     x = np.random.default_rng(5).normal(size=(1, 6, 9))
-    weighting = Tensor(np.random.default_rng(6).normal(size=(1, 6, 8)))
+    weighting = np.random.default_rng(6).normal(size=(1, 6, 8))
 
     def model_probe(t):
-        v = project(encode(x, w), w)
-        return ad.tensor_sum(ad.mul(ad.mul(v, v), weighting))
+        return weighted_sum(project(encode(x, w), w), weighting)
 
     for name in ("embed.fc1.w", "enc0.attn.q.w", "enc0.attn.v.w", "enc0.ln1.gamma",
                  "enc0.ffn.fc1.w", "enc0.ln2.beta", "proj.fc1.w", "proj.fc2.w"):

@@ -49,38 +49,61 @@ TINY_OVERRIDES = {
 
 # one case per option rule: (section, key, rejected value, message fragment)
 OPTION_RULES = [
-    ("synth", "primitives", 0, "primitives must be >= 1"),
-    ("synth", "sequences", 0, "sequences must be >= 1"),
-    ("synth", "primitives_per_sequence", 0, "primitives_per_sequence must be >= 1"),
-    ("synth", "frames_per_primitive", 0, "frames_per_primitive must be >= 1"),
-    ("synth", "joints", 0, "joints must be >= 1"),
+    ("synth", "primitives", 0, "primitives must be an integer >= 1"),
+    ("synth", "primitives", 2.5, "primitives must be an integer >= 1, got 2.5"),
+    ("synth", "sequences", 0, "sequences must be an integer >= 1"),
+    ("synth", "sequences", 2.5, "sequences must be an integer >= 1, got 2.5"),
+    ("synth", "primitives_per_sequence", 0, "primitives_per_sequence must be an integer >= 1"),
+    ("synth", "primitives_per_sequence", 1.5, "primitives_per_sequence must be an integer"),
+    ("synth", "frames_per_primitive", 0, "frames_per_primitive must be an integer >= 1"),
+    ("synth", "frames_per_primitive", 8.0, "frames_per_primitive must be an integer"),
+    ("synth", "joints", 0, "joints must be an integer >= 1"),
+    ("synth", "joints", True, "joints must be an integer >= 1, got True"),
     ("synth", "fps", 0.0, "fps must be > 0"),
     ("synth", "pose_spread", -0.1, "pose_spread must be >= 0"),
     ("tan", "hidden_dim", 3, "hidden_dim must be even"),
+    ("tan", "hidden_dim", 64.0, "hidden_dim must be an integer >= 1, got 64.0"),
+    ("tan", "encoder_layers", 1.5, "encoder_layers must be an integer >= 1"),
     ("tan", "attention_heads", 3, "not divisible by heads"),
+    ("tan", "attention_heads", True, "attention_heads must be an integer >= 1, got True"),
+    ("tan", "projection_dim", 32.0, "projection_dim must be an integer >= 1"),
+    ("tan", "sequence_length", 64.0, "sequence_length must be an integer >= 1"),
     ("train", "seed", -1, "train seed must be an integer >= 0, got -1"),
+    ("train", "batch_size", 2.5, "batch_size must be an integer >= 1, got 2.5"),
+    ("train", "frames", 64.0, "frames must be an integer >= 1, got 64.0"),
+    ("train", "epochs", 1.5, "epochs must be an integer >= 0, got 1.5"),
+    ("train", "warmup_epochs", 1.0, "warmup_epochs must be an integer >= 0, got 1.0"),
+    ("lexicon", "k", 3.5, "k must be an integer >= 1, got 3.5"),
     ("lexicon", "feature_space", "raw", "feature_space must be"),
-    ("lexicon", "max_iters", 0, "max_iters must be >= 1"),
+    ("lexicon", "max_iters", 0, "max_iters must be an integer >= 1"),
+    ("lexicon", "max_iters", 2.5, "max_iters must be an integer >= 1, got 2.5"),
     ("lexicon", "tol", -1e-6, "tol must be >= 0"),
     ("lexicon", "tol", float("inf"), "tol must be >= 0 and finite"),
-    ("lexicon", "context_window", 0, "context_window must be None or >= 1"),
-    ("metrics", "n_max", 0, "n_max must be >= 1"),
-    ("metrics", "tau_pairs", 0, "tau_pairs must be >= 1"),
+    ("lexicon", "context_window", 0, "context_window must be None or an integer >= 1"),
+    ("lexicon", "context_window", 2.5, "context_window must be None or an integer >= 1"),
+    ("metrics", "n_max", 0, "n_max must be an integer >= 1"),
+    ("metrics", "n_max", 1.5, "n_max must be an integer >= 1, got 1.5"),
+    ("metrics", "tau_pairs", 0, "tau_pairs must be an integer >= 1"),
+    ("metrics", "tau_pairs", 2.0, "tau_pairs must be an integer >= 1, got 2.0"),
     ("metrics", "eval_fraction", 0.0, "eval_fraction must be in"),
     ("metrics", "eval_fraction", 1.0, "eval_fraction must be in"),
     ("metrics", "eval_fraction", 1.5, "eval_fraction must be in"),
     ("metrics", "sweep_k", [], "sweep_k must be non-empty"),
-    ("metrics", "sweep_k", [8, 0], "every K >= 1"),
+    ("metrics", "sweep_k", [8, 0], "every K an integer >= 1"),
+    ("metrics", "sweep_k", [8, 2.5], "every K an integer >= 1"),
     ("detection", "scales_seconds", [], "scales_seconds must be non-empty"),
     ("detection", "scales_seconds", [0.5, 0.0], "all > 0"),
-    ("detection", "stride", 0, "stride must be None or >= 1"),
+    ("detection", "stride", 0, "stride must be None or an integer >= 1"),
+    ("detection", "stride", 2.5, "stride must be None or an integer >= 1, got 2.5"),
     ("detection", "nms_iou", 0.0, "nms_iou must be in"),
     ("detection", "nms_iou", 1.5, "nms_iou must be in"),
     ("detection", "map_theta", 0.0, "map_theta must be in"),
     ("detection", "map_theta", 1.5, "map_theta must be in"),
+    ("composition", "words", 1.5, "words must be an integer >= 1, got 1.5"),
     ("composition", "boundary_threshold", 0.0, "boundary_threshold must be > 0"),
     ("composition", "boundary_threshold", -1.0, "boundary_threshold must be > 0"),
-    ("composition", "blend_frames", 0, "blend_frames must be >= 1"),
+    ("composition", "blend_frames", 0, "blend_frames must be an integer >= 1"),
+    ("composition", "blend_frames", 2.0, "blend_frames must be an integer >= 1, got 2.0"),
 ]
 
 
@@ -218,11 +241,11 @@ class TestConfig:
         assert config.seed == 7 and config.lexicon.k == 5
 
     def test_lexicon_k_below_one_rejected(self):
-        with pytest.raises(ValueError, match="k must be >= 1"):
+        with pytest.raises(ValueError, match="k must be an integer >= 1"):
             make_config("desk", overrides={"lexicon": {"k": 0}})
 
     def test_composition_words_below_one_rejected(self):
-        with pytest.raises(ValueError, match="words must be >= 1"):
+        with pytest.raises(ValueError, match="words must be an integer >= 1"):
             make_config("desk", overrides={"composition": {"words": 0}})
 
     def test_flag_overrides_beat_file(self, tmp_path):
@@ -543,7 +566,7 @@ class TestCommands:
         with pytest.raises(SystemExit) as exc:
             cli_module.main()
         assert exc.value.code != 0
-        assert "k must be >= 1" in capsys.readouterr().err
+        assert "k must be an integer >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("threads,env,warned", [

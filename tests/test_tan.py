@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from motiontok import autodiff as ad, tan
-from motiontok.autodiff import ShapeError, Tensor
+from motiontok.autodiff import ShapeError
 from motiontok.tan import (
     _CHUNK,
     TanConfig,
@@ -19,7 +19,7 @@ from motiontok.tan import (
     save_checkpoint,
     weights_digest,
 )
-from testkit import grad_check
+from testkit import grad_check, weighted_sum
 
 TINY = TanConfig(hidden_dim=16, encoder_layers=1, attention_heads=2,
                  projection_dim=8, sequence_length=6)
@@ -145,7 +145,7 @@ class TestEncode:
             config = TanConfig(hidden_dim=16, encoder_layers=2, attention_heads=heads,
                                projection_dim=8, sequence_length=6)
             w = init_weights(config, joints=3, seed=0)
-            nodes.append(len(ad.topo_order(ad.tensor_sum(project(encode(x, w), w)))))
+            nodes.append(len(ad.topo_order(project(encode(x, w), w))))
         assert nodes[0] == nodes[1] == nodes[2]
 
 
@@ -191,7 +191,7 @@ class TestFullModelGradient:
                      "enc0.ffn.fc1.w", "proj.fc2.w", "proj.fc1.b"):
             def probe(t, _name=name):
                 v = project(encode(x, w), w)
-                return ad.tensor_sum(ad.mul(ad.mul(v, v), Tensor(weighting)))
+                return weighted_sum(v, weighting)
 
             errs[name] = grad_check(probe, w.tensors[name], eps=1e-4)
         worst = max(errs.values())
@@ -225,13 +225,13 @@ class TestCheckpoints:
         back = load_checkpoint(save_checkpoint(w, tmp_path / "w.tan"))
         assert all(t.values.flags.writeable for t in back.tensors.values())
         x = np.random.default_rng(3).normal(size=(2, 6, 9))
-        weighting = Tensor(np.random.default_rng(4).normal(size=(2, 6, 8)))
+        weighting = np.random.default_rng(4).normal(size=(2, 6, 8))
         for weights in (w, back):
             state = AdamState()
             for _ in range(3):
                 weights.zero_grad()
                 v = project(encode(x, weights), weights)
-                ad.backward(ad.tensor_sum(ad.mul(v, weighting)))
+                ad.backward(weighted_sum(v, weighting))
                 clip_gradients(weights, 0.5)
                 adam_step(weights, state, 1e-2, 1e-6)
         for name in w.tensors:

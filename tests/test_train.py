@@ -21,7 +21,8 @@ from motiontok.train import (
     tcn_loss,
     train_tan,
 )
-from testkit import grad_check, payload_digest, reference_step_gradients
+from testkit import (grad_check, payload_digest, reference_step_gradients, reference_tcc_loss,
+                     reference_tcn_loss)
 
 TINY_TAN = TanConfig(hidden_dim=16, encoder_layers=1, attention_heads=2,
                      projection_dim=8, sequence_length=12)
@@ -227,13 +228,28 @@ class TestLrSchedule:
         assert all(values[i] >= values[i + 1] for i in range(10, 29))
 
 
+def _one_clip(v_a, v_b):
+    """Lengths of a single clip's two views."""
+    return ([v_a.shape[0]], [v_b.shape[0]])
+
+
+def _baseline_batch(seed, shapes, features=4, scale=1.0):
+    """Blocks of clips whose A and B views have the (T_a, T_b) of `shapes`,
+    with the per-clip views they stack."""
+    rng = np.random.default_rng(seed)
+    va = [rng.normal(size=(ta, features)) * scale for ta, _ in shapes]
+    vb = [rng.normal(size=(tb, features)) * scale for _, tb in shapes]
+    lengths = ([ta for ta, _ in shapes], [tb for _, tb in shapes])
+    return va, vb, lengths
+
+
 class TestTcnLoss:
     def test_margin_satisfied_gives_zero(self):
         # d(a, p) = 0 everywhere, d(a, n) = 3, margin 2
         v_a = Tensor(np.zeros((6, 3)))
         v_b = Tensor(np.tile([3.0, 0.0, 0.0], (12, 1)))
         rng = np.random.default_rng(0)
-        loss = tcn_loss(v_a, v_b, anchors=4, rng=rng, margin=2.0,
+        loss = tcn_loss(v_a, v_b, _one_clip(v_a, v_b), anchors=4, rng=rng, margin=2.0,
                         pos_window=2, neg_multiplier=2)
         assert float(loss.values) == pytest.approx(0.0, abs=1e-12)
 
@@ -242,21 +258,27 @@ class TestTcnLoss:
         v_a = Tensor(np.sqrt(2.0) * np.eye(2, 8))
         v_b = Tensor(np.tile(np.sqrt(2.0) / 2 * (np.arange(8) < 2), (16, 1)))
         rng = np.random.default_rng(1)
-        loss = tcn_loss(v_a, v_b, anchors=2, rng=rng, margin=2.0,
+        loss = tcn_loss(v_a, v_b, _one_clip(v_a, v_b), anchors=2, rng=rng, margin=2.0,
                         pos_window=2, neg_multiplier=3)
         assert float(loss.values) == pytest.approx(3.0, abs=1e-12)
 
     def test_positive_equals_negative_gives_margin(self):
         v = Tensor(np.tile([0.3, -0.7], (10, 1)))
         rng = np.random.default_rng(2)
-        loss = tcn_loss(v, v, anchors=3, rng=rng, margin=2.0,
+        loss = tcn_loss(v, v, _one_clip(v, v), anchors=3, rng=rng, margin=2.0,
                         pos_window=1, neg_multiplier=2)
         assert float(loss.values) == pytest.approx(2.0, abs=1e-12)
+
+    def test_zero_distance_passes_no_gradient(self):
+        # every frame equal: both distances are 0 and every hinge is active
+        v = ad.parameter(np.tile([0.3, -0.7], (10, 1)))
+        ad.backward(tcn_loss(v, v, _one_clip(v, v), anchors=3, rng=np.random.default_rng(2)))
+        assert np.array_equal(v.grad, np.zeros((10, 2)))
 
     def test_too_short_for_exclusion_interval(self):
         v = Tensor(np.random.default_rng(3).normal(size=(4, 3)))
         with pytest.raises(ValueError, match="exclusion"):
-            tcn_loss(v, v, anchors=2, rng=np.random.default_rng(0),
+            tcn_loss(v, v, _one_clip(v, v), anchors=2, rng=np.random.default_rng(0),
                      margin=2.0, pos_window=2, neg_multiplier=1)
 
     def test_gradient(self):
@@ -264,37 +286,94 @@ class TestTcnLoss:
         v_b = Tensor(rng_data.normal(size=(14, 4)))
 
         def f(t):
-            return tcn_loss(t, v_b, anchors=3, rng=np.random.default_rng(7),
+            return tcn_loss(t, v_b, _one_clip(t, v_b), anchors=3, rng=np.random.default_rng(7),
                             margin=1.0, pos_window=2, neg_multiplier=2)
 
         x = ad.parameter(rng_data.normal(size=(14, 4)) * 2.0)
         assert grad_check(f, x, eps=1e-5) < 1e-4
 
+    @pytest.mark.parametrize("anchors,neg_multiplier", [(16, 4), (3, 2), (30, 7)])
+    def test_blocks_match_the_per_clip_reference(self, anchors, neg_multiplier):
+        # unequal (T_a, T_b), one clip with fewer hosts than anchors; the
+        # reference draws each clip's triplets with the rng calls, in the
+        # order, of the per-clip loss the fused one replaced
+        va, vb, lengths = _baseline_batch(8, [(12, 9), (20, 26), (7, 15), (16, 16)])
+        loss = tcn_loss(np.concatenate(va), np.concatenate(vb), lengths, anchors,
+                        np.random.default_rng(9), neg_multiplier=neg_multiplier)
+        rng = np.random.default_rng(9)
+        expected = np.mean([reference_tcn_loss(a, b, anchors, rng,
+                                               neg_multiplier=neg_multiplier)
+                            for a, b in zip(va, vb)])
+        assert abs(float(loss.values) - expected) <= 1e-10
+
+    def test_one_node(self):
+        va, vb, lengths = _baseline_batch(10, [(12, 9), (20, 26)])
+        loss = tcn_loss(ad.parameter(np.concatenate(va)), ad.parameter(np.concatenate(vb)),
+                        lengths, 4, np.random.default_rng(0))
+        assert loss.op == "triplet_margin" and all(p.parents == () for p in loss.parents)
+
+    def test_lengths_must_cover_the_rows(self):
+        va, vb, (len_a, len_b) = _baseline_batch(11, [(12, 9), (20, 26)])
+        with pytest.raises(ValueError, match="row counts"):
+            tcn_loss(np.concatenate(va), np.concatenate(vb), (len_a, [9, 25]), 4,
+                     np.random.default_rng(0))
+
 
 class TestTccLoss:
     def test_orthonormal_views_sharp_softmax(self):
         v = Tensor(np.eye(6))
-        loss = tcc_loss(v, v, tau_soft=1e-3)
+        loss = tcc_loss(v, v, _one_clip(v, v), tau_soft=1e-3)
         assert float(loss.values) == pytest.approx(0.0, abs=1e-9)
 
     def test_single_frame_zero(self):
         v = Tensor(np.array([[0.6, 0.8]]))
-        assert float(tcc_loss(v, v).values) == pytest.approx(0.0, abs=1e-12)
+        assert float(tcc_loss(v, v, _one_clip(v, v)).values) == pytest.approx(0.0, abs=1e-12)
 
     def test_invariant_to_view_b_permutation(self):
         rng = np.random.default_rng(5)
         v_a = Tensor(_unit(rng.normal(size=(5, 4))))
         vb = _unit(rng.normal(size=(7, 4)))
-        l1 = tcc_loss(v_a, Tensor(vb), tau_soft=0.2)
-        l2 = tcc_loss(v_a, Tensor(vb[::-1].copy()), tau_soft=0.2)
+        l1 = tcc_loss(v_a, Tensor(vb), ([5], [7]), tau_soft=0.2)
+        l2 = tcc_loss(v_a, Tensor(vb[::-1].copy()), ([5], [7]), tau_soft=0.2)
         assert float(l1.values) == pytest.approx(float(l2.values), abs=1e-12)
 
     def test_gradient(self):
         rng = np.random.default_rng(6)
         v_b = Tensor(rng.normal(size=(5, 3)))
-        f = lambda t: tcc_loss(t, v_b, tau_soft=0.5)
+        f = lambda t: tcc_loss(t, v_b, ([4], [5]), tau_soft=0.5)
         x = ad.parameter(rng.normal(size=(4, 3)))
         assert grad_check(f, x, eps=1e-4) < 1e-4
+
+    @pytest.mark.parametrize("tau_soft", [0.1, 0.5])
+    def test_blocks_match_the_per_clip_reference(self, tau_soft):
+        # unequal (T_a, T_b), so every clip but the longest is padded in both views
+        va, vb, lengths = _baseline_batch(12, [(5, 8), (9, 3), (1, 4), (7, 7)],
+                                          scale=0.5)
+        va, vb = [_unit(v) for v in va], [_unit(v) for v in vb]
+        loss = tcc_loss(np.concatenate(va), np.concatenate(vb), lengths, tau_soft)
+        expected = np.mean([reference_tcc_loss(a, b, tau_soft) for a, b in zip(va, vb)])
+        assert abs(float(loss.values) - expected) <= 1e-10
+
+    def test_clip_gradients_do_not_mix(self):
+        # each clip's rows get the gradient of its own loss over the clip count
+        va, vb, lengths = _baseline_batch(13, [(5, 8), (9, 3), (6, 6)])
+        blocks = [ad.parameter(np.concatenate(side)) for side in (va, vb)]
+        ad.backward(tcc_loss(*blocks, lengths, 0.5))
+        lo_a = lo_b = 0
+        for a, b in zip(va, vb):
+            alone = [ad.parameter(a), ad.parameter(b)]
+            ad.backward(tcc_loss(*alone, _one_clip(a, b), 0.5))
+            for block, view, lo in zip(blocks, alone, (lo_a, lo_b)):
+                rows = block.grad[lo:lo + view.shape[0]]
+                np.testing.assert_allclose(rows, view.grad / 3, rtol=0, atol=1e-12)
+            lo_a, lo_b = lo_a + a.shape[0], lo_b + b.shape[0]
+
+    def test_lengths_must_cover_the_rows(self):
+        va, vb, (len_a, _) = _baseline_batch(14, [(5, 8), (9, 3)])
+        with pytest.raises(ValueError, match="lengths_b must rise strictly from 0 to 11"):
+            tcc_loss(np.concatenate(va), np.concatenate(vb), (len_a, [8, 4]))
+        with pytest.raises(ValueError, match="lengths_a must rise strictly"):
+            tcc_loss(np.concatenate(va), np.concatenate(vb), ([14, 0], [8, 3]))
 
 
 class TestBackwardMemory:
@@ -427,8 +506,8 @@ class TestTrainLoop:
     # covers the weight bytes alone, so it holds when only the header changes.
     TRAINED_PINS = {
         "tan": ("d9636a57f8c74e88", "e2f27b1bb2974087"),
-        "tcc": ("fefff4888be1bb8e", "5a42cc35ec8b320a"),
-        "tcn": ("01da259f54b2201b", "9a0c39af417cc13f"),
+        "tcc": ("d37a8d5aeec9d880", "8108f0737ae309a9"),
+        "tcn": ("8388142d53110943", "0714099e3075794a"),
     }
 
     @pytest.mark.parametrize("loss_kind,layers,batch", [

@@ -11,7 +11,12 @@ here rather than in `motiontok`.
 - `IDENTITY_RANGES`: augmentation ranges that leave a clip unchanged.
 - `load_perfbench`: a module of the benchmark harness, imported from its file.
 - `payload_digest`: the sha256 prefix of a container file's bytes after its header line.
+- `weighted_sum`: sum(x * w) for a constant w as one graph node, the scalar
+  the gradient checks differentiate.
 - `reference_step_gradients`: one training step's gradients, computed clip by clip.
+- `reference_tcn_loss`, `reference_tcc_loss`: one clip's TCN and TCC losses
+  in numpy, the forward references of the fused `train.tcn_loss` and
+  `train.tcc_loss`.
 - `reference_kmeans`, `reference_sq_dists`: k-means with a per-cluster mean
   loop and exact (M, K) distances, the reference `lexicon.kmeans` and
   `lexicon.assign` are held to bit for bit.
@@ -51,29 +56,78 @@ def payload_digest(raw: bytes) -> str:
     return hashlib.sha256(raw.split(b"\n", 1)[1]).hexdigest()[:16]
 
 
+def weighted_sum(x, w) -> ad.Tensor:
+    """sum(x * w) as one node, w a constant array of x's shape."""
+    x = ad.as_tensor(x)
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != x.shape:
+        raise ad.ShapeError(f"weighted_sum: {x.shape} and {w.shape}")
+
+    def bwd(g):
+        if x.requires_grad:
+            ad._accumulate(x, g * w)
+
+    return ad._result((x.values * w).sum(), (x,), "weighted_sum", bwd)
+
+
 def reference_step_gradients(weights, pairs, loss_kind: str, train_config,
                              rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Per-parameter gradients of one training step on the view pairs `pairs`,
-    with every view sent through `encode` and `project` on its own and the
-    per-clip views handed to the step's loss, as `train_tan` did before it
-    packed a step's views into one matrix. rng feeds the TCN sampling, so
-    it must be in the state `train_tan`'s step generator has after the views
-    are drawn."""
+    with every view sent through `encode` and `project` on its own, as
+    `train_tan` did before it packed a step's views into one matrix. The
+    contrastive loss gets the per-clip views; a baseline loss runs on one clip
+    at a time, and the clips' gradients are averaged. rng feeds the TCN
+    sampling, so it must be in the state `train_tan`'s step generator has
+    after the views are drawn."""
     from motiontok import train
     weights.zero_grad()
     va = [ad.slice_tensor(project(encode(p.view_a.flat(), weights), weights), (0,)) for p in pairs]
     vb = [ad.slice_tensor(project(encode(p.view_b.flat(), weights), weights), (0,)) for p in pairs]
     if loss_kind == "tan":
-        loss = train.frame_nt_xent(va, vb, [p.correspondences for p in pairs],
-                                   mode=train_config.negative_mode, tau=train_config.temperature)
-    else:
-        if loss_kind == "tcn":
-            items = [train.tcn_loss(a, b, train.TCN_ANCHORS, rng) for a, b in zip(va, vb)]
-        else:
-            items = [train.tcc_loss(a, b) for a, b in zip(va, vb)]
-        loss = ad.mean(ad.concat([ad.reshape(x, (1,)) for x in items], axis=0))
-    ad.backward(loss)
-    return {name: t.grad.copy() for name, t in weights.tensors.items()}
+        ad.backward(train.frame_nt_xent(va, vb, [p.correspondences for p in pairs],
+                                        mode=train_config.negative_mode,
+                                        tau=train_config.temperature))
+        return {name: t.grad.copy() for name, t in weights.tensors.items()}
+    for a, b in zip(va, vb):
+        lengths = ([a.shape[0]], [b.shape[0]])
+        ad.backward(train.tcn_loss(a, b, lengths, train.TCN_ANCHORS, rng) if loss_kind == "tcn"
+                    else train.tcc_loss(a, b, lengths))
+    return {name: t.grad / len(pairs) for name, t in weights.tensors.items()}
+
+
+def reference_tcn_loss(v_a: np.ndarray, v_b: np.ndarray, anchors: int,
+                       rng: np.random.Generator, margin: float = 2.0, pos_window: int = 2,
+                       neg_multiplier: int = 4) -> float:
+    """One clip's triplet margin loss, with the triplets drawn by the rng
+    calls, in the order, of the per-clip loss the fused one replaced."""
+    t_a, t_b = v_a.shape[0], v_b.shape[0]
+    exclusion = 2 * pos_window
+    hosts = [a for a in range(t_a) if a - exclusion > 0 or a + exclusion < t_b - 1]
+    count = min(anchors, len(hosts))
+    anchor_idx = np.sort(rng.choice(hosts, size=count, replace=False))
+    terms = []
+    for a in anchor_idx:
+        offs = [o for o in range(-pos_window, pos_window + 1)
+                if o != 0 and 0 <= a + o < t_a]
+        d_ap = np.linalg.norm(v_a[a] - v_a[a + offs[rng.integers(len(offs))]])
+        valid = np.flatnonzero(np.abs(np.arange(t_b) - a) > exclusion)
+        for j in rng.choice(valid, size=neg_multiplier, replace=valid.size < neg_multiplier):
+            terms.append(max(0.0, d_ap - np.linalg.norm(v_a[a] - v_b[j]) + margin))
+    return float(np.mean(terms))
+
+
+def reference_tcc_loss(v_a: np.ndarray, v_b: np.ndarray, tau_soft: float = 0.1) -> float:
+    """One clip's cycle-back consistency loss from exact pairwise differences."""
+    def neg_sq_dists(x, y):
+        return -((x[:, None, :] - y[None, :, :]) ** 2).sum(axis=-1) / tau_soft
+
+    s = neg_sq_dists(v_a, v_b)
+    w = np.exp(s - s.max(axis=1, keepdims=True))
+    soft_nn = (w / w.sum(axis=1, keepdims=True)) @ v_b
+    logits = neg_sq_dists(soft_nn, v_a)
+    m = logits.max(axis=1)
+    lse = m + np.log(np.exp(logits - m[:, None]).sum(axis=1))
+    return float(np.mean(lse - np.diag(logits)))
 
 
 def reference_sq_dists(points: np.ndarray, centroids: np.ndarray,
