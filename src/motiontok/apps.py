@@ -45,29 +45,33 @@ class Detection:
 def learn_acton_class_map(token_labels, annotations, acton_count: int) -> ActonClassMap:
     """Map each acton to the action class most frequent among its frames.
 
-    token_labels / annotations: per-sequence aligned arrays of frame acton ids
-    and frame class ids. Ties go to the lower class id; actons never seen in
-    training map to the background class.
+    token_labels / annotations: per-sequence aligned 1-d arrays of frame
+    acton ids in [0, acton_count) and frame class ids, counted in one (K, C)
+    bincount of acton-class pairs. Ties go to the lower class id (a row's
+    first maximum); actons never seen in training map to the background class.
     """
     if len(token_labels) != len(annotations):
         raise ValueError("token_labels and annotations must pair up")
-    counts: dict[int, dict[int, int]] = {}
-    for actons, classes in zip(token_labels, annotations):
-        actons = np.asarray(actons)
-        classes = np.asarray(classes)
-        if actons.shape != classes.shape:
-            raise ValueError("acton and class arrays must have equal length")
-        for a, c in zip(actons.tolist(), classes.tolist()):
-            counts.setdefault(a, {})[c] = counts.get(a, {}).get(c, 0) + 1
+    token_labels = [np.asarray(a) for a in token_labels]
+    annotations = [np.asarray(c) for c in annotations]
+    if any(a.ndim != 1 or a.shape != c.shape for a, c in zip(token_labels, annotations)):
+        raise ValueError("acton and class arrays must be 1-d and of equal length")
     mapping = np.full(acton_count, BACKGROUND_CLASS, dtype=np.int64)
     agreement = np.zeros(acton_count)
-    for a in range(acton_count):
-        if a not in counts:
-            continue
-        per_class = counts[a]
-        best = min(per_class, key=lambda c: (-per_class[c], c))
-        mapping[a] = best
-        agreement[a] = per_class[best] / sum(per_class.values())
+    if not any(a.size for a in token_labels):
+        return ActonClassMap(classes=mapping, agreement=agreement)
+    actons, classes = np.concatenate(token_labels), np.concatenate(annotations)
+    if (not np.issubdtype(actons.dtype, np.integer)
+            or not 0 <= actons.min() <= actons.max() < acton_count):
+        raise ValueError(f"token_labels must hold integer acton ids in [0, {acton_count})")
+    class_ids, class_index = np.unique(classes, return_inverse=True)
+    counts = np.bincount(actons.astype(np.int64) * class_ids.size + class_index,
+                         minlength=acton_count * class_ids.size).reshape(acton_count, -1)
+    total = counts.sum(axis=1)
+    seen = total > 0
+    best = counts.argmax(axis=1)[seen]
+    mapping[seen] = class_ids[best]
+    agreement[seen] = counts[seen, best] / total[seen]
     return ActonClassMap(classes=mapping, agreement=agreement)
 
 
@@ -110,21 +114,24 @@ def detect(frame_actons, class_map: ActonClassMap, window_scales: list[int],
     frame_classes = class_map.classes[frame_actons]
     t = frame_actons.size
     real_classes = np.unique(class_map.classes[class_map.classes != BACKGROUND_CLASS])
+    # hits[i, c]: frames before i whose acton maps to real_classes[c]
+    hits = np.cumsum(np.pad(frame_classes[:, None] == real_classes, ((1, 0), (0, 0))), axis=0)
     raw: list[Detection] = []
     for scale in window_scales:
         if scale > t:
             warnings.warn(f"window scale {scale} exceeds sequence length {t}; skipped")
             continue
+        if not real_classes.size:
+            continue  # every acton maps to the background: no window has a class
         step = stride if stride is not None else max(1, scale // 4)
-        for start in range(0, t - scale + 1, step):
-            window = frame_classes[start:start + scale]
-            best_cls, best_conf = None, -1.0
-            for cls in real_classes:
-                conf = float((window == cls).mean())
-                if conf > best_conf:
-                    best_cls, best_conf = int(cls), conf
-            if best_cls is not None and best_conf > 0.0:
-                raw.append(Detection(best_cls, start, start + scale, best_conf))
+        starts = np.arange(0, t - scale + 1, step)
+        counts = hits[starts + scale] - hits[starts]
+        found = counts.max(axis=1) > 0
+        counts = counts[found]
+        best = counts.argmax(axis=1)  # the first maximum: the lowest class id
+        for start, cls, n in zip(starts[found].tolist(), real_classes[best].tolist(),
+                                 counts.max(axis=1).tolist()):
+            raw.append(Detection(cls, start, start + scale, n / scale))
     return nms(raw, nms_iou)
 
 

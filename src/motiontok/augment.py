@@ -99,18 +99,14 @@ def match_frames(
     """Pair view frames by source time: frame i_a (time i_a*speed_a) claims the
     nearest i_b when their source times differ by at most half a frame.
     Conflicts on one i_b keep the smaller gap; ties keep the lower i_a."""
-    best: dict[int, tuple[float, int]] = {}  # i_b -> (gap, i_a)
-    for i_a in range(len_a):
-        u = i_a * speed_a
-        i_b = _round_half_up(u / speed_b)
-        if not 0 <= i_b < len_b:
-            continue
-        gap = abs(i_b * speed_b - u)
-        if gap > 0.5:
-            continue
-        if i_b not in best or gap < best[i_b][0]:
-            best[i_b] = (gap, i_a)
-    return sorted((i_a, i_b) for i_b, (_, i_a) in best.items())
+    u = np.arange(len_a) * speed_a
+    i_b = np.floor(u / speed_b + 0.5).astype(np.int64)
+    gap = np.abs(i_b * speed_b - u)
+    i_a = np.flatnonzero((0 <= i_b) & (i_b < len_b) & (gap <= 0.5))
+    # per i_b, the smallest gap first, then the lowest i_a
+    i_a = i_a[np.lexsort((i_a, gap[i_a], i_b[i_a]))]
+    i_a = i_a[np.r_[True, np.diff(i_b[i_a]) != 0]]
+    return sorted(zip(i_a.tolist(), i_b[i_a].tolist()))
 
 
 def make_view_pair(

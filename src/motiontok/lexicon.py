@@ -62,28 +62,22 @@ class TokenStream:
         """One symbol per segment, the stream fed to language statistics."""
         return [acton for _, _, acton in self.segments]
 
-    def frame_actons(self) -> np.ndarray:
-        out = np.empty(self.frames, dtype=np.int64)
-        for start, end, acton in self.segments:
-            out[start:end] = acton
-        return out
-
 
 def _gram(points: np.ndarray, p2: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """Squared distances in Gram form, max(|p|^2 + |c|^2 - 2 p.c, 0), (M, K).
 
     p2 holds the points' squared norms. It is one matrix product, but its
     rounding residue (of order eps * (|p|^2 + |c|^2)) breaks exact ties and
-    zero distances: the Lloyd loop uses it as is, `_nearest` only to screen."""
+    zero distances: the Lloyd loop uses it as is, `nearest` only to screen."""
     c2 = (centroids * centroids).sum(axis=1)[None, :]
     return np.maximum(p2[:, None] + c2 - 2.0 * (points @ centroids.T), 0.0)
 
 
-def _nearest(points: np.ndarray, p2: np.ndarray,
-             centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def nearest(points: np.ndarray, p2: np.ndarray,
+            centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest centroid id and squared distance per point, as an exact
     difference pass sum((p - c)^2) over all (M, K) pairs gives them, ties
-    going to the lowest id.
+    going to the lowest id: k-means' labels, `assign` and Kendall's Tau.
 
     The Gram form screens the centroids. Each form is within
     2 (D + 2) u (|p|^2 + max |c|^2) of the true distance (u the unit
@@ -168,7 +162,7 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iters: int = 300,
         centroids = new_centroids
         if shift < tol:
             break
-    _, dist = _nearest(points, p2, centroids)
+    _, dist = nearest(points, p2, centroids)
     return Lexicon(centroids=centroids,
                    metadata={"seed": seed, "inertia": float(dist.sum()), "points": m})
 
@@ -182,7 +176,7 @@ def assign(frames: np.ndarray, lexicon: Lexicon) -> np.ndarray:
         )
     if not np.isfinite(frames).all():
         raise ValueError("frames must be finite")
-    return _nearest(frames, (frames * frames).sum(axis=1), lexicon.centroids)[0]
+    return nearest(frames, (frames * frames).sum(axis=1), lexicon.centroids)[0]
 
 
 def segment(labels) -> TokenStream:

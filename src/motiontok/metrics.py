@@ -13,30 +13,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .lexicon import TokenStream
+from .lexicon import TokenStream, nearest
 
 
 def kendalls_tau(emb_a: np.ndarray, emb_b: np.ndarray) -> float:
     """Alignment concordance between two frame-embedding sequences.
 
-    Every frame of A retrieves its L2-nearest frame in B (ties to the lowest
-    index). Over all ordered frame pairs i < j of A, concordant retrievals
-    (p < q) count +1 and discordant (p > q) count -1; pairs with p == q stay
-    in the denominator T_a(T_a-1)/2 but add nothing.
+    Every frame of A retrieves its L2-nearest frame in B by `lexicon.nearest`
+    (ties to the lowest index). Over all frame pairs i < j of A, concordant
+    retrievals (p < q) count +1 and discordant (p > q) -1; pairs with p == q
+    stay in the denominator T_a(T_a-1)/2 but add nothing.
     """
     emb_a = np.asarray(emb_a, dtype=np.float64)
     emb_b = np.asarray(emb_b, dtype=np.float64)
     t_a = emb_a.shape[0]
     if t_a < 2 or emb_b.shape[0] < 1:
         raise ValueError("kendalls_tau needs T_a >= 2 and T_b >= 1")
-    nearest = np.empty(t_a, dtype=np.int64)
-    for i in range(t_a):
-        d = ((emb_b - emb_a[i]) ** 2).sum(axis=1)
-        nearest[i] = int(d.argmin())
-    diff = np.sign(nearest[None, :] - nearest[:, None])
-    upper = np.triu_indices(t_a, k=1)
-    score = diff[upper].sum()
-    return float(score / (t_a * (t_a - 1) / 2))
+    retrieved, _ = nearest(emb_a, (emb_a * emb_a).sum(axis=1), emb_b)
+    diff = np.sign(retrieved[None, :] - retrieved[:, None])
+    return float(diff[np.triu_indices(t_a, k=1)].sum() / (t_a * (t_a - 1) / 2))
 
 
 def _entropy_bits(counts: np.ndarray) -> float:

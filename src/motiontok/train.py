@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .augment import AugmentRanges, make_view_pair
+from .augment import AugmentRanges, _round_half_up, make_view_pair
 from .data import LabeledCorpus, SkeletonSequence
 from .tan import TanConfig, TanWeights, encode, init_weights, project
 
@@ -24,10 +24,11 @@ ALL_FRAMES = "all_frames"
 EXCLUDE_SAME_CLIP = "exclude_same_clip"
 
 # Fixed training settings: the paper's recipe, and the TCN baseline's anchor
-# count per clip. The TCN and TCC losses run at their own defaults.
+# count per clip and positive window. The losses run at their own defaults.
 WEIGHT_DECAY = 1e-6
 GRAD_CLIP_NORM = 0.5
 TCN_ANCHORS = 16
+TCN_POS_WINDOW = 2
 
 
 @dataclass(frozen=True)
@@ -112,17 +113,16 @@ def frame_nt_xent(v_a, v_b, correspondences: list[list[tuple[int, int]]],
         raise ValueError("views and correspondences must agree in clip count")
     if not tau > 0:
         raise ValueError("temperature must be positive")
-    off_a = np.concatenate([[0], np.cumsum(len_a)[:-1]]).astype(np.int64)
-    off_b = np.concatenate([[0], np.cumsum(len_b)[:-1]]).astype(np.int64)
+    off_a, off_b = np.cumsum(len_a) - len_a, np.cumsum(len_b) - len_b
     clip_of_a = np.repeat(np.arange(len(len_a)), len_a)
     clip_of_b = np.repeat(np.arange(len(len_b)), len_b)
 
-    pairs = [(n, ia, ib) for n, corr in enumerate(correspondences) for ia, ib in corr]
-    if not pairs:
+    corr = [np.asarray(c, dtype=np.int64).reshape(-1, 2) for c in correspondences]
+    pair_clip = np.repeat(np.arange(len(corr)), [c.shape[0] for c in corr])
+    if not pair_clip.size:
         raise ValueError("no corresponding frames in batch")
-    pair_clip = np.array([n for n, _, _ in pairs])
-    rows_a = np.array([off_a[n] + ia for n, ia, _ in pairs])
-    cols_b = np.array([off_b[n] + ib for n, _, ib in pairs])
+    pairs = np.concatenate(corr)
+    rows_a, cols_b = off_a[pair_clip] + pairs[:, 0], off_b[pair_clip] + pairs[:, 1]
 
     return ad.nt_xent(big_a, big_b, 1.0 / tau, rows_a, cols_b,
                       _denominator_mask(cols_b, pair_clip, clip_of_b, mode),
@@ -204,7 +204,8 @@ def _tcn_triplets(t_a: int, t_b: int, anchors: int, rng: np.random.Generator,
 
 
 def tcn_loss(v_a, v_b, lengths, anchors: int, rng: np.random.Generator,
-             margin: float = 2.0, pos_window: int = 2, neg_multiplier: int = 4) -> Tensor:
+             margin: float = 2.0, pos_window: int = TCN_POS_WINDOW,
+             neg_multiplier: int = 4) -> Tensor:
     """Triplet margin loss of the TCN baseline over the clips of two (N, F)
     view blocks, as one node: clip n is lengths[0][n] rows of v_a and
     lengths[1][n] rows of v_b. Each clip draws up to `anchors` anchors and
@@ -303,6 +304,12 @@ def train_tan(corpus: LabeledCorpus, tan_config: TanConfig, train_config: TrainC
         raise ValueError(
             f"{len(usable)} usable sequences at batch_size {train_config.batch_size} make a "
             f"batch of {smallest_batch} clip; exclude_same_clip needs >= 2 clips per batch")
+    # a crop's view at speed_max is its shortest; under 2 * pos_window + 2
+    # frames it cannot host a TCN anchor's exclusion interval
+    shortest = max(1, _round_half_up(t_crop / ranges.speed_max))
+    if loss_kind == "tcn" and shortest < 2 * TCN_POS_WINDOW + 2:
+        raise ValueError(f"a {t_crop}-frame crop can yield a {shortest}-frame view; "
+                         f"tcn needs views of >= {2 * TCN_POS_WINDOW + 2} frames")
     weights = init_weights(tan_config, usable[0].joints, train_config.seed)
     state = AdamState()
     history: list[EpochStats] = []

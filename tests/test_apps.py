@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from motiontok.data import generate_synthetic_corpus
 from motiontok.lexicon import build_lexicon, tokenize_corpus
 from motiontok.metrics import temporal_iou
 from motiontok.tan import TanConfig, init_weights
+from testkit import reference_class_map, reference_detect
 
 TINY = TanConfig(hidden_dim=16, encoder_layers=1, attention_heads=2,
                  projection_dim=8, sequence_length=8)
@@ -50,6 +53,34 @@ class TestActonClassMap:
         acc = float((predicted == classes[0]).mean())
         best_constant = max(float((classes[0] == c).mean()) for c in range(4))
         assert acc >= best_constant
+
+    def test_matches_reference_loops(self):
+        # small sequences over few classes make many count ties; class ids are
+        # sparse and may include the background id; some actons go unseen
+        for case in range(300):
+            rng = np.random.default_rng(case)
+            k = int(rng.integers(1, 8))
+            class_pool = rng.choice([BACKGROUND_CLASS, 0, 1, 3, 4, 9], size=int(rng.integers(1, 5)))
+            sizes = rng.integers(0, 12, size=int(rng.integers(0, 4)))
+            actons = [rng.integers(0, k, size=n) for n in sizes]
+            classes = [rng.choice(class_pool, size=n) for n in sizes]
+            cmap = learn_acton_class_map(actons, classes, acton_count=k)
+            ref_classes, ref_agreement = reference_class_map(actons, classes, k)
+            assert np.array_equal(cmap.classes, ref_classes), case
+            assert cmap.agreement.tobytes() == ref_agreement.tobytes(), case
+
+    def test_narrow_integer_ids_do_not_wrap(self):
+        # 100 * 3 classes overflows int8
+        actons = np.array([100, 100, 120], dtype=np.int8)
+        cmap = learn_acton_class_map([actons], [np.array([7, 3, 5])], acton_count=121)
+        assert (cmap.classes[100], cmap.classes[120]) == (3, 5)
+
+    @pytest.mark.parametrize("actons", [np.array([0, 5, 5, -1]), np.array([0, 1, 3, 2]),
+                                        np.array([0.0, 1.0, 1.0, 2.0])],
+                             ids=["negative", "beyond-k", "float"])
+    def test_bad_acton_ids_rejected(self, actons):
+        with pytest.raises(ValueError, match=r"acton ids in \[0, 3\)"):
+            learn_acton_class_map([actons], [np.array([1, 2, 2, 2])], 3)
 
 
 class TestNms:
@@ -110,6 +141,30 @@ class TestDetect:
         a = detect(actons, cmap, [8, 12], stride=2)
         b = detect(actons, cmap, [8, 12], stride=2)
         assert a == b
+
+    def test_background_only_map_detects_nothing(self):
+        cmap = ActonClassMap(classes=np.full(3, BACKGROUND_CLASS), agreement=np.zeros(3))
+        actons = np.array([0, 1, 2, 1, 0, 2])
+        assert detect(actons, cmap, [2, 3, 6], stride=1) == []
+
+    def test_matches_reference_loops(self):
+        # background entries, stride None or fixed, scales longer than the sequence
+        for case in range(300):
+            rng = np.random.default_rng(case)
+            k = int(rng.integers(1, 6))
+            cmap = ActonClassMap(classes=rng.choice([BACKGROUND_CLASS, 0, 2, 5], size=k),
+                                 agreement=np.ones(k))
+            t = int(rng.integers(1, 40))
+            actons = rng.integers(0, k, size=t)
+            scales = [int(s) for s in rng.integers(1, 50, size=int(rng.integers(1, 4)))]
+            stride = None if rng.random() < 0.5 else int(rng.integers(1, 6))
+            runs = []
+            for fn in (detect, reference_detect):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    dets = fn(actons, cmap, scales, stride=stride)
+                runs.append((repr(dets), [str(w.message) for w in caught]))
+            assert runs[0] == runs[1], case
 
     def test_stride_validation(self):
         actons, cmap = _uniform_setup(t=10)

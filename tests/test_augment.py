@@ -10,7 +10,7 @@ from motiontok.augment import (
     sample_params,
 )
 from motiontok.data import SkeletonSequence
-from testkit import IDENTITY_RANGES
+from testkit import IDENTITY_RANGES, reference_match_frames
 
 
 def _seq(t=8, j=3, seed=0):
@@ -126,6 +126,24 @@ class TestMatchFrames:
             seconds = [b for _, b in pairs]
             assert len(set(firsts)) == len(firsts)
             assert len(set(seconds)) == len(seconds)
+
+    def test_matches_reference_loop(self):
+        # speeds drawn as sample_params draws them, and exact ratios whose
+        # source times tie on one i_b
+        rng = np.random.default_rng(13)
+        exact = [0.5, 2.0 / 3.0, 0.75, 1.0, 1.5, 2.0]
+        for case in range(3000):
+            if case % 3:
+                sa, sb = (float(s) for s in rng.uniform(1.0, 2.0, size=2))
+                sa, sb = (s if rng.random() < 0.5 else 1.0 / s for s in (sa, sb))
+            else:
+                sa, sb = (float(s) for s in rng.choice(exact, size=2))
+            t = int(rng.integers(2, 40))
+            la = max(1, int(np.floor(t / sa + 0.5)))
+            lb = max(1, int(np.floor(t / sb + 0.5)))
+            pairs = match_frames(la, sa, lb, sb)
+            assert pairs == reference_match_frames(la, sa, lb, sb), case
+            assert all(type(i) is int for pair in pairs for i in pair)
 
 
 class TestMakeViewPair:

@@ -228,9 +228,11 @@ class TestSegment:
         assert stream.segments == ((0, 1, 0), (1, 2, 1), (2, 3, 0), (3, 4, 1))
 
     def test_tokens_and_frame_actons(self):
-        stream = segment([3, 3, 1, 2, 2])
+        labels = [3, 3, 1, 2, 2]
+        stream = segment(labels)
         assert stream.tokens() == [3, 1, 2]
-        assert np.array_equal(stream.frame_actons(), [3, 3, 1, 2, 2])
+        starts, ends, actons = np.array(stream.segments).T
+        assert np.array_equal(np.repeat(actons, ends - starts), labels)
 
     def test_stream_invariants_enforced(self):
         with pytest.raises(ValueError):

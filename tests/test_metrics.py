@@ -18,6 +18,7 @@ from testkit import (
     entropy_monotonicity_check,
     exact_block_entropies,
     metric_correlation,
+    reference_kendalls_tau,
     stationary_distribution,
 )
 
@@ -47,6 +48,26 @@ class TestKendallsTau:
     def test_needs_two_frames(self):
         with pytest.raises(ValueError):
             kendalls_tau(np.zeros((1, 2)), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("rows", ["normal", "unit", "duplicated", "integer"])
+    def test_matches_reference_loop(self, rows):
+        # duplicated rows and integer coordinates make exact retrieval ties
+        for case in range(100):
+            rng = np.random.default_rng(case)
+            f = int(rng.choice([2, 3, 8, 17, 32, 64, 128]))
+            t_a, t_b = int(rng.integers(2, 30)), int(rng.integers(1, 30))
+            a, b = rng.normal(size=(t_a, f)), rng.normal(size=(t_b, f))
+            if rows == "unit":
+                a /= np.linalg.norm(a, axis=1, keepdims=True)
+                b /= np.linalg.norm(b, axis=1, keepdims=True)
+            elif rows == "duplicated":
+                b = b[rng.integers(0, t_b, size=t_b)]
+                a[::2] = b[rng.integers(0, t_b, size=a[::2].shape[0])]
+            elif rows == "integer":
+                a, b = (rng.integers(-2, 3, size=x.shape).astype(float) for x in (a, b))
+            tau = kendalls_tau(a, b)
+            assert type(tau) is float
+            assert tau == reference_kendalls_tau(a, b), case
 
 
 class TestNmi:

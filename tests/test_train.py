@@ -21,8 +21,8 @@ from motiontok.train import (
     tcn_loss,
     train_tan,
 )
-from testkit import (grad_check, payload_digest, reference_step_gradients, reference_tcc_loss,
-                     reference_tcn_loss)
+from testkit import (grad_check, payload_digest, reference_frame_pairs, reference_step_gradients,
+                     reference_tcc_loss, reference_tcn_loss)
 
 TINY_TAN = TanConfig(hidden_dim=16, encoder_layers=1, attention_heads=2,
                      projection_dim=8, sequence_length=12)
@@ -111,6 +111,33 @@ class TestFrameNtXent:
         lengths[1][0] += 1
         with pytest.raises(ValueError, match="row counts"):
             frame_nt_xent(np.concatenate(va), np.concatenate(vb), corr, lengths=lengths)
+
+    @pytest.mark.parametrize("mode", [ALL_FRAMES, EXCLUDE_SAME_CLIP])
+    def test_pair_rows_match_the_reference_loop(self, monkeypatch, mode):
+        # the arrays handed to the loss node, against the per-pair loop;
+        # clips without a correspondence included
+        from motiontok import train as train_module
+        handed = []
+        monkeypatch.setattr(ad, "nt_xent", lambda *args: handed.append(args))
+        rng = np.random.default_rng(4)
+        for case in range(200):
+            clips = int(rng.integers(2, 6))
+            len_a, len_b = rng.integers(1, 12, size=(2, clips)).tolist()
+            speeds = rng.uniform(0.5, 2.0, size=(clips, 2))
+            corr = [match_frames(ta, sa, tb, sb) if rng.random() < 0.8 else []
+                    for ta, tb, (sa, sb) in zip(len_a, len_b, speeds)]
+            if not any(corr):
+                continue
+            frame_nt_xent(np.zeros((sum(len_a), 2)), np.zeros((sum(len_b), 2)), corr,
+                          mode=mode, lengths=(len_a, len_b))
+            pair_clip, rows_a, cols_b = reference_frame_pairs(corr, len_a, len_b)
+            clip_of_a = np.repeat(np.arange(clips), len_a)
+            clip_of_b = np.repeat(np.arange(clips), len_b)
+            expected = (rows_a, cols_b,
+                        train_module._denominator_mask(cols_b, pair_clip, clip_of_b, mode),
+                        train_module._denominator_mask(rows_a, pair_clip, clip_of_a, mode))
+            for got, want in zip(handed.pop()[3:], expected):
+                assert got.dtype == want.dtype and np.array_equal(got, want), case
 
     def test_closed_form_single_negative(self):
         # positive similarity 1, one opposite-view negative at similarity -1
@@ -603,6 +630,21 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=f"^{sequences} usable sequences at batch_size "
                                              f"{batch} make a batch of 1 clip"):
             train_tan(_first(corpus, sequences), TINY_TAN, self._cfg(1, batch_size=batch))
+
+    @pytest.mark.parametrize("frames", [6, 10])
+    def test_tcn_crop_too_short_rejected_before_training(self, monkeypatch, frames):
+        # at speed_max 2 the crop can yield a view of frames / 2 frames, too
+        # short to host the +-4-frame exclusion interval around an anchor
+        from motiontok import train as train_module
+        monkeypatch.setattr(train_module, "init_weights", None)
+        corpus = generate_synthetic_corpus(4, 8, 3, 16, seed=0)
+        with pytest.raises(ValueError, match=f"a {frames}-frame crop can yield"):
+            train_tan(corpus, TINY_TAN, self._cfg(1, frames=frames), loss_kind="tcn")
+
+    def test_tcn_shortest_crop_trains(self):
+        corpus = generate_synthetic_corpus(4, 8, 3, 16, seed=0)
+        _, history = train_tan(corpus, TINY_TAN, self._cfg(2, frames=12), loss_kind="tcn")
+        assert np.isfinite(history[-1].mean_loss)
 
     def test_two_clip_batches_train(self, corpus):
         _, history = train_tan(_first(corpus, 4), TINY_TAN, self._cfg(1, batch_size=2))

@@ -20,17 +20,25 @@ here rather than in `motiontok`.
 - `reference_kmeans`, `reference_sq_dists`: k-means with a per-cluster mean
   loop and exact (M, K) distances, the reference `lexicon.kmeans` and
   `lexicon.assign` are held to bit for bit.
+- `reference_class_map`, `reference_detect`, `reference_match_frames`,
+  `reference_kendalls_tau`, `reference_frame_pairs`: the per-frame,
+  per-window and per-pair loops `apps.learn_acton_class_map`, `apps.detect`,
+  `augment.match_frames`, `metrics.kendalls_tau` and `train.frame_nt_xent`
+  ran before they became array operations; the package is held to them bit
+  for bit.
 """
 from __future__ import annotations
 
 import hashlib
 import importlib.util
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 
 from motiontok import autodiff as ad
+from motiontok.apps import BACKGROUND_CLASS, Detection, nms
 from motiontok.augment import AugmentRanges
 from motiontok.data import SkeletonSequence, center_normalize_frames
 from motiontok.metrics import entropy_table
@@ -187,6 +195,95 @@ def reference_kmeans(points: np.ndarray, k: int, seed: int = 0, max_iters: int =
     labels = final.argmin(axis=1)
     inertia = float(final[np.arange(m), labels].sum())
     return centroids, {"seed": seed, "inertia": inertia, "points": m}
+
+
+def reference_class_map(token_labels, annotations, acton_count: int):
+    """(classes, agreement) of the max-agreement acton-to-class map, counted
+    frame by frame in a dict and decided acton by acton (lower class on ties,
+    background for actons never seen)."""
+    counts: dict[int, dict[int, int]] = {}
+    for actons, classes in zip(token_labels, annotations):
+        for a, c in zip(np.asarray(actons).tolist(), np.asarray(classes).tolist()):
+            counts.setdefault(a, {})[c] = counts.get(a, {}).get(c, 0) + 1
+    mapping = np.full(acton_count, BACKGROUND_CLASS, dtype=np.int64)
+    agreement = np.zeros(acton_count)
+    for a in range(acton_count):
+        if a not in counts:
+            continue
+        per_class = counts[a]
+        best = min(per_class, key=lambda c: (-per_class[c], c))
+        mapping[a] = best
+        agreement[a] = per_class[best] / sum(per_class.values())
+    return mapping, agreement
+
+
+def reference_detect(frame_actons, class_map, window_scales, stride=None,
+                     nms_iou: float = 0.5):
+    """`apps.detect` window by window and class by class: each window's best
+    class is the first with the highest frame fraction, kept when above 0."""
+    frame_classes = class_map.classes[np.asarray(frame_actons)]
+    t = frame_classes.size
+    real_classes = np.unique(class_map.classes[class_map.classes != BACKGROUND_CLASS])
+    raw = []
+    for scale in window_scales:
+        if scale > t:
+            warnings.warn(f"window scale {scale} exceeds sequence length {t}; skipped")
+            continue
+        step = stride if stride is not None else max(1, scale // 4)
+        for start in range(0, t - scale + 1, step):
+            window = frame_classes[start:start + scale]
+            best_cls, best_conf = None, -1.0
+            for cls in real_classes:
+                conf = float((window == cls).mean())
+                if conf > best_conf:
+                    best_cls, best_conf = int(cls), conf
+            if best_cls is not None and best_conf > 0.0:
+                raw.append(Detection(best_cls, start, start + scale, best_conf))
+    return nms(raw, nms_iou)
+
+
+def reference_match_frames(len_a: int, speed_a: float, len_b: int,
+                           speed_b: float) -> list[tuple[int, int]]:
+    """`augment.match_frames` frame by frame, resolving each conflict on an
+    i_b as it arises."""
+    best: dict[int, tuple[float, int]] = {}  # i_b -> (gap, i_a)
+    for i_a in range(len_a):
+        u = i_a * speed_a
+        i_b = int(np.floor(u / speed_b + 0.5))
+        if not 0 <= i_b < len_b:
+            continue
+        gap = abs(i_b * speed_b - u)
+        if gap > 0.5:
+            continue
+        if i_b not in best or gap < best[i_b][0]:
+            best[i_b] = (gap, i_a)
+    return sorted((i_a, i_b) for i_b, (_, i_a) in best.items())
+
+
+def reference_kendalls_tau(emb_a: np.ndarray, emb_b: np.ndarray) -> float:
+    """Kendall's Tau with each frame of A retrieving its nearest frame of B
+    by its own exact difference pass."""
+    emb_a = np.asarray(emb_a, dtype=np.float64)
+    emb_b = np.asarray(emb_b, dtype=np.float64)
+    t_a = emb_a.shape[0]
+    nearest = np.empty(t_a, dtype=np.int64)
+    for i in range(t_a):
+        d = ((emb_b - emb_a[i]) ** 2).sum(axis=1)
+        nearest[i] = int(d.argmin())
+    diff = np.sign(nearest[None, :] - nearest[:, None])
+    upper = np.triu_indices(t_a, k=1)
+    return float(diff[upper].sum() / (t_a * (t_a - 1) / 2))
+
+
+def reference_frame_pairs(correspondences, len_a, len_b):
+    """(pair_clip, rows_a, cols_b) of `train.frame_nt_xent`: every clip's
+    (i_a, i_b) pairs offset to packed block rows, pair by pair."""
+    off_a = np.concatenate([[0], np.cumsum(len_a)[:-1]]).astype(np.int64)
+    off_b = np.concatenate([[0], np.cumsum(len_b)[:-1]]).astype(np.int64)
+    pairs = [(n, ia, ib) for n, corr in enumerate(correspondences) for ia, ib in corr]
+    return (np.array([n for n, _, _ in pairs]),
+            np.array([off_a[n] + ia for n, ia, _ in pairs]),
+            np.array([off_b[n] + ib for n, _, ib in pairs]))
 
 
 def grad_check(f, x: ad.Tensor, eps: float = 1e-4) -> float:
