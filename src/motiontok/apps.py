@@ -16,6 +16,7 @@ from .metrics import temporal_iou
 from .tan import embed_sequence
 
 BACKGROUND_CLASS = -1
+COMPOSE_RETRIES = 64  # candidate draws per splice before compose takes the nearest
 
 
 @dataclass(frozen=True)
@@ -182,14 +183,13 @@ def sample_instance(library: InstanceLibrary, acton: int,
 
 
 def compose(library: InstanceLibrary, word_count: int, boundary_threshold: float,
-            blend_frames: int, rng: np.random.Generator,
-            retry_budget: int = 64) -> ComposedMotion:
+            blend_frames: int, rng: np.random.Generator) -> ComposedMotion:
     """Chain word_count acton instances whose boundary poses are compatible.
 
     Candidates are rejection-sampled until the centered L2 distance between
     the previous instance's last frame and the candidate's first frame is at
-    most boundary_threshold; after the retry budget the nearest candidate
-    seen is used, with the blend window stretched to keep per-frame
+    most boundary_threshold; after COMPOSE_RETRIES draws the nearest
+    candidate seen is used, with the blend window stretched to keep per-frame
     displacement within boundary_threshold / blend_frames. Instances are
     spliced by linear interpolation after aligning body centers.
     """
@@ -211,7 +211,7 @@ def compose(library: InstanceLibrary, word_count: int, boundary_threshold: float
         prev_last = data[-1]
         best: tuple[float, int, np.ndarray] | None = None
         accepted = None
-        for _attempt in range(retry_budget):
+        for _attempt in range(COMPOSE_RETRIES):
             acton = candidates[int(rng.integers(len(candidates)))]
             inst = sample_instance(library, acton, rng)
             dist = _boundary_distance(prev_last, inst[0])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import SkeletonSequence
+from .data import SkeletonSequence, _rot_z
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,6 @@ class ViewPair:
 
     view_a: SkeletonSequence
     view_b: SkeletonSequence
-    params_a: AugmentParams
-    params_b: AugmentParams
     correspondences: list[tuple[int, int]]
 
 
@@ -87,9 +85,7 @@ def apply(seq: SkeletonSequence, p: AugmentParams) -> SkeletonSequence:
     frac = (src - lo).reshape(-1, 1, 1)
     frames = (1.0 - frac) * seq.data[lo] + frac * seq.data[hi]
 
-    c, s = np.cos(p.rotation), np.sin(p.rotation)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    frames = frames @ rot.T + p.translation
+    frames = frames @ _rot_z(p.rotation).T + p.translation
     return SkeletonSequence(data=frames, fps=seq.fps)
 
 
@@ -115,15 +111,9 @@ def make_view_pair(
     """Augment one source sequence into two views with frame correspondences."""
     if seq.frames < 2:
         raise ValueError("view pairs need a source with at least 2 frames")
-    params_a = sample_params(rng, ranges)
-    params_b = sample_params(rng, ranges)
-    view_a = apply(seq, params_a)
-    view_b = apply(seq, params_b)
-    corr = match_frames(view_a.frames, params_a.speed, view_b.frames, params_b.speed)
-    return ViewPair(
-        view_a=view_a,
-        view_b=view_b,
-        params_a=params_a,
-        params_b=params_b,
-        correspondences=corr,
-    )
+    p_a = sample_params(rng, ranges)
+    p_b = sample_params(rng, ranges)
+    view_a = apply(seq, p_a)
+    view_b = apply(seq, p_b)
+    corr = match_frames(view_a.frames, p_a.speed, view_b.frames, p_b.speed)
+    return ViewPair(view_a=view_a, view_b=view_b, correspondences=corr)

@@ -12,7 +12,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -20,7 +19,7 @@ import numpy as np
 
 from .augment import AugmentRanges, make_view_pair
 from .data import (LabeledCorpus, SkeletonSequence, generate_synthetic_corpus, load_corpus,
-                   save_corpus, save_sequence)
+                   save_corpus, save_sequence, sequence_variant)
 # assign is not called here; it stays importable as cli.assign for callers that wrap it
 from .lexicon import (Lexicon, assign, build_lexicon, cluster_features, corpus_features,
                       load_lexicon, save_lexicon, segment, tokenize_corpus, tokenize_features,
@@ -283,19 +282,6 @@ def corpus_nmi(corpus: LabeledCorpus, streams_labels: list[np.ndarray]) -> float
     return nmi(truth, clusters)
 
 
-def tokenize_threaded(corpus: LabeledCorpus, weights: TanWeights, lexicon: Lexicon,
-                      threads: int = 1):
-    """tokenize_corpus, optionally fanned out across a thread pool.
-
-    Results are gathered by sequence index, so the output is identical at any
-    thread count. Workers overlap inside numpy's native code; each should run
-    single-threaded BLAS (OPENBLAS_NUM_THREADS=1), or they compete for cores."""
-    if threads <= 1:
-        return tokenize_corpus(corpus, weights, lexicon)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return tokenize_corpus(corpus, weights, lexicon, map_fn=pool.map)
-
-
 def truth_intervals(labels: np.ndarray) -> list[tuple[int, int, int]]:
     """(class, start, end) runs of a ground-truth frame-label array."""
     stream = segment(labels)
@@ -305,7 +291,7 @@ def truth_intervals(labels: np.ndarray) -> list[tuple[int, int, int]]:
 def evaluate(corpus: LabeledCorpus, weights: TanWeights, lexicon: Lexicon,
              config: PipelineConfig, threads: int = 1) -> MetricsReport:
     """Alignment, clustering, and token-entropy metrics on one corpus slice."""
-    streams, frame_actons = tokenize_threaded(corpus, weights, lexicon, threads)
+    streams, frame_actons = tokenize_corpus(corpus, weights, lexicon, threads)
     rows = entropy_table(streams, config.metrics.n_max)
     tau = alignment_tau(corpus, config.augment, config.metrics.tau_pairs,
                         config.seed, tan_embed_fn(weights),
@@ -406,7 +392,7 @@ def cmd_tokenize(config: PipelineConfig, corpus_dir: Path, ckpt: Path, lex_path:
                  out_path: Path) -> Path:
     corpus = load_corpus(corpus_dir)
     weights, lexicon = _load_guarded(ckpt, lex_path)
-    streams, _ = tokenize_threaded(corpus, weights, lexicon, config.threads)
+    streams, _ = tokenize_corpus(corpus, weights, lexicon, config.threads)
     write_token_streams(streams, out_path, header_lines=_header(config))
     return out_path
 
@@ -434,7 +420,7 @@ def corpus_detection_map(eval_split: LabeledCorpus, weights: TanWeights,
     Per-sequence intervals are offset far apart on a shared timeline so one
     matching pass scores the whole corpus without cross-sequence overlap.
     """
-    _, frame_actons = tokenize_threaded(eval_split, weights, lexicon, threads)
+    _, frame_actons = tokenize_corpus(eval_split, weights, lexicon, threads)
     all_dets, all_truth, out_rows = [], [], []
     gap = max(s.frames for s in eval_split.sequences) + 1
     for sid, (actons, labels) in enumerate(zip(frame_actons, eval_split.frame_labels)):
@@ -451,7 +437,7 @@ def cmd_detect(config: PipelineConfig, corpus_dir: Path, ckpt: Path, lex_path: P
     corpus = load_corpus(corpus_dir)
     train_split, eval_split = _scored_split(corpus, config.metrics.eval_fraction, "detect")
     weights, lexicon = _load_guarded(ckpt, lex_path)
-    _, train_actons = tokenize_threaded(train_split, weights, lexicon, config.threads)
+    _, train_actons = tokenize_corpus(train_split, weights, lexicon, config.threads)
     cmap = learn_acton_class_map(train_actons, train_split.frame_labels, lexicon.k)
     fps = corpus.sequences[0].fps
     scales = [max(2, int(round(s * fps))) for s in config.detection.scales_seconds]
@@ -473,7 +459,7 @@ def cmd_compose(config: PipelineConfig, corpus_dir: Path, ckpt: Path, lex_path: 
                 out_path: Path) -> Path:
     corpus = load_corpus(corpus_dir)
     weights, lexicon = _load_guarded(ckpt, lex_path)
-    streams, _ = tokenize_threaded(corpus, weights, lexicon, config.threads)
+    streams, _ = tokenize_corpus(corpus, weights, lexicon, config.threads)
     library = build_instance_library(corpus.sequences, streams)
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 71]))
     motion = compose(library, config.composition.words,
@@ -574,6 +560,15 @@ def run(argv: list[str] | None = None) -> int:
                                           os.environ.get("OMP_NUM_THREADS")):
         print(f"warning: {config.threads} worker threads share multi-threaded BLAS and "
               "compete for cores; set OPENBLAS_NUM_THREADS=1", file=sys.stderr)
+    # refuse an output that cannot be written before any work; gen-synth and
+    # eval create their output directories
+    if args.command not in ("gen-synth", "eval"):
+        if not args.out.parent.is_dir():
+            raise FileNotFoundError(f"no directory {args.out.parent} for --out {args.out}")
+        if args.out.is_dir():
+            raise IsADirectoryError(f"--out {args.out} is a directory")
+        if args.command == "compose":
+            sequence_variant(args.out)
 
     if args.command == "gen-synth":
         args.out.mkdir(parents=True, exist_ok=True)

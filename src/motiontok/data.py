@@ -159,6 +159,16 @@ def _sequence_shapes(header: dict, path: Path) -> list[tuple[int, ...]]:
     return [(header.get("frames"), header.get("joints"), 3)]
 
 
+def sequence_variant(path: str | Path) -> str:
+    """The skelseq variant a file name selects by its extension: TEXT_EXT or
+    BINARY_EXT; any other extension is a ValueError."""
+    name = Path(path).name
+    for ext in (TEXT_EXT, BINARY_EXT):
+        if name.endswith(ext):
+            return ext
+    raise ValueError(f"unknown sequence extension: {name}")
+
+
 def save_sequence(seq: SkeletonSequence, path: str | Path) -> Path:
     """Write a sequence in skelseq v1 (binary or text variant, by extension)."""
     path = Path(path)
@@ -168,20 +178,18 @@ def save_sequence(seq: SkeletonSequence, path: str | Path) -> Path:
         "joints": seq.joints,
         "frames": seq.frames,
     }
-    if path.name.endswith(TEXT_EXT):
+    if sequence_variant(path) == TEXT_EXT:
         data = np.asarray(seq.data, dtype=np.float32).tolist()
         path.write_text(json.dumps({**header, "data": data}))
-    elif path.name.endswith(BINARY_EXT):
-        write_container(path, encode_container(header, [seq.data], "<f4"))
     else:
-        raise ValueError(f"unknown sequence extension: {path.name}")
+        write_container(path, encode_container(header, [seq.data], "<f4"))
     return path
 
 
 def load_sequence(path: str | Path) -> SkeletonSequence:
     """Read a skelseq v1 file (binary or text variant, by extension)."""
     path = Path(path)
-    if path.name.endswith(TEXT_EXT):
+    if sequence_variant(path) == TEXT_EXT:
         header = _parse_header(path.read_bytes(), None, path)
         (shape,) = _sequence_shapes(header, path)
         try:
@@ -190,10 +198,8 @@ def load_sequence(path: str | Path) -> SkeletonSequence:
             raise PayloadSizeError(f"{path.name}: data is not a numeric array: {exc}") from exc
         if data.shape != shape:
             raise PayloadSizeError(f"{path.name}: data shape {data.shape}, header {shape}")
-    elif path.name.endswith(BINARY_EXT):
-        header, (data,) = read_container(path, None, "<f4", _sequence_shapes)
     else:
-        raise ValueError(f"unknown sequence extension: {path.name}")
+        header, (data,) = read_container(path, None, "<f4", _sequence_shapes)
     return SkeletonSequence(data=data, fps=float(header["fps"]))
 
 

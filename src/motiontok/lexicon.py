@@ -2,6 +2,7 @@
 nearest-centroid assignment, and maximal-run token streams."""
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -199,18 +200,27 @@ def tokenize_features(features: np.ndarray, lexicon: Lexicon,
 
 
 def tokenize_corpus(corpus: LabeledCorpus, weights: TanWeights, lexicon: Lexicon,
-                    map_fn=map) -> tuple[list[TokenStream], list[np.ndarray]]:
+                    threads: int = 1) -> tuple[list[TokenStream], list[np.ndarray]]:
     """Encode, project, assign, and segment every sequence of a corpus.
 
     Features are computed in the space and context window the lexicon was
-    built with (recorded in its metadata). map_fn runs the per-sequence work
-    (an executor's map fans it out); results keep the corpus order."""
+    built with (recorded in its metadata). threads > 1 fans the sequences out
+    across a thread pool; results keep the corpus order, so the output is
+    identical at any thread count. Workers overlap inside numpy's native code;
+    each should run single-threaded BLAS (OPENBLAS_NUM_THREADS=1), or they
+    compete for cores."""
     space = lexicon.metadata.get("feature_space", "projection")
     window = lexicon.metadata.get("context_window")
-    results = list(map_fn(
-        lambda seq: tokenize_features(
-            embed_sequence(seq, weights, space=space, window=window), lexicon),
-        corpus.sequences))
+
+    def tokenize_one(seq):
+        return tokenize_features(embed_sequence(seq, weights, space=space, window=window),
+                                 lexicon)
+
+    if threads <= 1:
+        results = [tokenize_one(seq) for seq in corpus.sequences]
+    else:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(tokenize_one, corpus.sequences))
     return [stream for stream, _ in results], [labels for _, labels in results]
 
 

@@ -174,8 +174,7 @@ def _all_point_ap(precision: np.ndarray, recall: np.ndarray) -> float:
     """Area under the step-wise precision envelope (all-point interpolation)."""
     mprec = np.concatenate([[0.0], precision, [0.0]])
     mrec = np.concatenate([[0.0], recall, [1.0]])
-    for i in range(len(mprec) - 2, -1, -1):
-        mprec[i] = max(mprec[i], mprec[i + 1])
+    mprec = np.maximum.accumulate(mprec[::-1])[::-1]  # highest precision at or after each point
     idx = np.flatnonzero(mrec[1:] != mrec[:-1]) + 1
     return float(((mrec[idx] - mrec[idx - 1]) * mprec[idx]).sum())
 
@@ -216,8 +215,8 @@ class MetricsReport:
             "provenance": self.provenance,
         }, sort_keys=True)
 
-    def save(self, directory: str | Path, stem: str = "metrics") -> None:
+    def save(self, directory: str | Path) -> None:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        (directory / f"{stem}.txt").write_text(self.to_flat_text())
-        (directory / f"{stem}.json").write_text(self.to_json())
+        (directory / "metrics.txt").write_text(self.to_flat_text())
+        (directory / "metrics.json").write_text(self.to_json())

@@ -8,7 +8,6 @@ or only frames from other clips.
 from __future__ import annotations
 
 import functools
-import gc
 import warnings
 from dataclasses import dataclass, field
 
@@ -23,10 +22,14 @@ from .tan import TanConfig, TanWeights, encode, init_weights, project
 ALL_FRAMES = "all_frames"
 EXCLUDE_SAME_CLIP = "exclude_same_clip"
 
-# Fixed training settings: the paper's recipe, and the TCN baseline's anchor
-# count per clip and positive window. The losses run at their own defaults.
+# Fixed training settings: the paper's recipe, Adam's moment decays and
+# denominator guard, and the TCN baseline's anchor count per clip and positive
+# window. The losses run at their own defaults.
 WEIGHT_DECAY = 1e-6
 GRAD_CLIP_NORM = 0.5
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 TCN_ANCHORS = 16
 TCN_POS_WINDOW = 2
 
@@ -159,20 +162,18 @@ def clip_gradients(weights: TanWeights, max_norm: float) -> float:
     return total
 
 
-def adam_step(weights: TanWeights, state: AdamState, lr: float,
-              weight_decay: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> None:
+def adam_step(weights: TanWeights, state: AdamState, lr: float, weight_decay: float) -> None:
     state.t += 1
     t = state.t
     for name, p in weights.tensors.items():
         g = p.grad
         m = state.m.setdefault(name, np.zeros_like(p.values))
         v = state.v.setdefault(name, np.zeros_like(p.values))
-        m += (1.0 - beta1) * (g - m)
-        v += (1.0 - beta2) * (g * g - v)
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        p.values -= lr * (m_hat / (np.sqrt(v_hat) + eps) + weight_decay * p.values)
+        m += (1.0 - ADAM_BETA1) * (g - m)
+        v += (1.0 - ADAM_BETA2) * (g * g - v)
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        p.values -= lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * p.values)
 
 
 # --- baseline losses -------------------------------------------------------------
@@ -251,25 +252,17 @@ def _crop(seq: SkeletonSequence, frames: int, rng: np.random.Generator) -> Skele
 
 
 def _training_run(fn):
-    """fn with Python's cyclic garbage collector paused while it runs, and
-    the free heap returned to the system when it ends.
+    """fn, with the free heap returned to the system when it ends.
 
-    A step's graph holds no reference cycles, so reference counting frees it
-    whole, and the automatic collections its many small objects trigger only
-    scan the heap. In the desk benchmark a full collection took about 60 ms
-    and fell inside about one 0.8 s training run in four. The heap keeps the
-    pages steps free for the next step (`ad._keep_heap_mapped`); once the run
-    is over they go back, so they do not add to the peak of later stages.
+    The heap keeps the pages steps free for the next step
+    (`ad._keep_heap_mapped`); once the run is over they go back, so they do
+    not add to the peak of later stages.
     """
     @functools.wraps(fn)
     def run(*args, **kwargs):
-        enabled = gc.isenabled()
-        gc.disable()
         try:
             return fn(*args, **kwargs)
         finally:
-            if enabled:
-                gc.enable()
             ad.release_free_heap()
 
     return run

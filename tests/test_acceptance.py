@@ -20,7 +20,6 @@ from motiontok.cli import (
     make_config,
     split_corpus,
     tan_embed_fn,
-    tokenize_threaded,
 )
 from motiontok.data import generate_synthetic_corpus
 from motiontok.lexicon import assign, build_lexicon, kmeans, tokenize_corpus
@@ -310,8 +309,8 @@ def test_criterion_8_tokenization_invariants(corpus32, models):
     train_split, eval_split = corpus32[0]
     weights, _ = models("c32-exclude", 0, train_split)
     lex = build_lexicon(train_split, weights, k=16, seed=0, window=LEX_WINDOW)
-    streams1, labels1 = tokenize_threaded(eval_split, weights, lex, threads=1)
-    streams2, labels2 = tokenize_threaded(eval_split, weights, lex, threads=1)
+    streams1, labels1 = tokenize_corpus(eval_split, weights, lex, threads=1)
+    streams2, labels2 = tokenize_corpus(eval_split, weights, lex, threads=1)
     problems = []
     for seq, stream in zip(eval_split.sequences, streams1):
         covered = sum(e - s for s, e, _ in stream.segments)

@@ -370,13 +370,13 @@ class TestCommands:
         import dataclasses
         threaded = dataclasses.replace(config, threads=2)
         cmd_detect(config, corpus_dir, ckpt, lex, root / "dets1.tsv")
-        original, pools = cli_module.tokenize_threaded, []
+        original, pools = cli_module.tokenize_corpus, []
 
         def recorded(corpus, weights, lexicon, threads=1):
             pools.append(threads)
             return original(corpus, weights, lexicon, threads)
 
-        monkeypatch.setattr(cli_module, "tokenize_threaded", recorded)
+        monkeypatch.setattr(cli_module, "tokenize_corpus", recorded)
         cmd_detect(threaded, corpus_dir, ckpt, lex, root / "dets2.tsv")
         assert pools == [2, 2]  # the train split, then the eval split
         assert (root / "dets1.tsv").read_text() == (root / "dets2.tsv").read_text()
@@ -568,6 +568,47 @@ class TestCommands:
         assert exc.value.code != 0
         assert "k must be an integer >= 1" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,out,error,match", [
+        ("train", "missing/m.tan", FileNotFoundError, "no directory"),
+        ("build-lexicon", "missing/m.lex", FileNotFoundError, "no directory"),
+        ("tokenize", "missing/t.tsv", FileNotFoundError, "no directory"),
+        ("detect", "missing/d.tsv", FileNotFoundError, "no directory"),
+        ("compose", "missing/c.skseq", FileNotFoundError, "no directory"),
+        ("compose", "c.compose", ValueError, "unknown sequence extension: c.compose"),
+        ("sweep-k", "missing/s.tsv", FileNotFoundError, "no directory"),
+        ("tokenize", "", IsADirectoryError, "is a directory"),  # --out is tmp_path itself
+    ], ids=["train", "build-lexicon", "tokenize", "detect", "compose", "compose-extension",
+            "sweep-k", "tokenize-directory"])
+    def test_output_checked_before_any_work(self, tmp_path, monkeypatch, command, out, error,
+                                            match):
+        loads = []
+
+        def never(path):
+            loads.append(path)
+            raise RuntimeError("the corpus was loaded")
+
+        monkeypatch.setattr(cli_module, "load_corpus", never)
+        flags = {"train": ["--corpus"], "build-lexicon": ["--corpus", "--checkpoint"],
+                 "sweep-k": ["--corpus", "--checkpoint"]}.get(
+                     command, ["--corpus", "--checkpoint", "--lexicon"])
+        # inputs that do not exist either: the output is checked first
+        args = [a for flag in flags for a in (flag, str(tmp_path / flag.strip("-")))]
+        with pytest.raises(error, match=match):
+            run([command, *args, "--out", str(tmp_path / out)])
+        assert loads == []
+
+    @pytest.mark.parametrize("command,written", [("gen-synth", "labels.json"),
+                                                 ("eval", "metrics.json")])
+    def test_output_directory_created(self, pipeline, tmp_path, command, written):
+        _, corpus_dir, ckpt, lex, _ = pipeline
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(TINY_OVERRIDES))
+        inputs = [] if command == "gen-synth" else [
+            "--corpus", str(corpus_dir), "--checkpoint", str(ckpt), "--lexicon", str(lex)]
+        out = tmp_path / "a" / "b"
+        assert run(["--config", str(cfg), command, *inputs, "--out", str(out)]) == 0
+        assert (out / written).exists()
 
     @pytest.mark.parametrize("threads,env,warned", [
         (2, {}, True),

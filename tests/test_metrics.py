@@ -18,6 +18,7 @@ from testkit import (
     entropy_monotonicity_check,
     exact_block_entropies,
     metric_correlation,
+    reference_all_point_ap,
     reference_kendalls_tau,
     stationary_distribution,
 )
@@ -302,6 +303,25 @@ class TestDetectionMap:
         # but flipping confidences cannot change that (greedy by confidence)
         dets = [(0, 0, 10, 0.8), (0, 0, 10, 0.9)]
         assert detection_map(dets, truth, 0.3) == pytest.approx(1.0)
+
+    def test_all_point_ap_matches_reference_loop(self):
+        # precision/recall curves as detection_map builds them, from random
+        # hit lists (runs of hits and misses make envelope ties), plus
+        # arbitrary non-monotone precision values
+        rng = np.random.default_rng(0)
+        for case in range(500):
+            n = int(rng.integers(0, 40))
+            if case % 2:
+                tp = (rng.random(n) < rng.random()).astype(float)
+                cum = np.cumsum(tp)
+                truths = max(1, int(tp.sum()) + int(rng.integers(0, 5)))  # >= the hits
+                precision = cum / (np.arange(n) + 1)
+                recall = cum / truths
+            else:
+                precision = rng.integers(0, 4, size=n) / 3.0
+                recall = np.sort(rng.integers(0, 6, size=n)) / 5.0
+            got = metrics_module._all_point_ap(precision, recall)
+            assert repr(got) == repr(reference_all_point_ap(precision, recall)), case
 
     def test_invalid_interval_rejected(self):
         with pytest.raises(ValueError):

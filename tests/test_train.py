@@ -495,19 +495,9 @@ class TestTrainLoop:
         train_tan(corpus, TINY_TAN, self._cfg(2))
         assert len(alive) == 6 and not any(alive)
 
-    def test_graphs_freed_without_the_cycle_collector(self, corpus, monkeypatch):
-        # train_tan pauses the collector, so reference counting alone must
-        # free every step's graph
-        from motiontok import train as train_module
-        original, during = train_module.frame_nt_xent, []
-
-        def watched(*args, **kwargs):
-            during.append(gc.isenabled())
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(train_module, "frame_nt_xent", watched)
-        train_tan(corpus, TINY_TAN, self._cfg(1))
-        assert gc.isenabled() and during and not any(during)
+    def test_graphs_freed_without_the_cycle_collector(self, corpus):
+        # a step's graph holds no reference cycles: reference counting alone
+        # must free it, leaving the cycle collector nothing to find
         gc.disable()
         try:
             gc.collect()

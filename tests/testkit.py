@@ -21,9 +21,10 @@ here rather than in `motiontok`.
   loop and exact (M, K) distances, the reference `lexicon.kmeans` and
   `lexicon.assign` are held to bit for bit.
 - `reference_class_map`, `reference_detect`, `reference_match_frames`,
-  `reference_kendalls_tau`, `reference_frame_pairs`: the per-frame,
-  per-window and per-pair loops `apps.learn_acton_class_map`, `apps.detect`,
-  `augment.match_frames`, `metrics.kendalls_tau` and `train.frame_nt_xent`
+  `reference_kendalls_tau`, `reference_frame_pairs`, `reference_all_point_ap`:
+  the per-frame, per-window, per-pair and per-point loops
+  `apps.learn_acton_class_map`, `apps.detect`, `augment.match_frames`,
+  `metrics.kendalls_tau`, `train.frame_nt_xent` and `metrics._all_point_ap`
   ran before they became array operations; the package is held to them bit
   for bit.
 """
@@ -273,6 +274,17 @@ def reference_kendalls_tau(emb_a: np.ndarray, emb_b: np.ndarray) -> float:
     diff = np.sign(nearest[None, :] - nearest[:, None])
     upper = np.triu_indices(t_a, k=1)
     return float(diff[upper].sum() / (t_a * (t_a - 1) / 2))
+
+
+def reference_all_point_ap(precision: np.ndarray, recall: np.ndarray) -> float:
+    """Area under the precision envelope, the envelope built point by point
+    from the last precision back."""
+    mprec = np.concatenate([[0.0], precision, [0.0]])
+    mrec = np.concatenate([[0.0], recall, [1.0]])
+    for i in range(len(mprec) - 2, -1, -1):
+        mprec[i] = max(mprec[i], mprec[i + 1])
+    idx = np.flatnonzero(mrec[1:] != mrec[:-1]) + 1
+    return float(((mrec[idx] - mrec[idx - 1]) * mprec[idx]).sum())
 
 
 def reference_frame_pairs(correspondences, len_a, len_b):
