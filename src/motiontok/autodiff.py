@@ -127,10 +127,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
-    def zero_grad(self) -> None:
-        if self.grad is not None:
-            self.grad[...] = 0.0
-
     def __repr__(self) -> str:
         return f"Tensor(op={self.op!r}, shape={self.shape}, requires_grad={self.requires_grad})"
 

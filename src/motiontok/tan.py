@@ -3,6 +3,7 @@ transformer encoder stack, and the unit-sphere projection head."""
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -39,24 +40,27 @@ class TanConfig:
             )
 
 
-@dataclass
+@dataclass(eq=False)
 class TanWeights:
-    """All learnable tensors, keyed by name in a stable order."""
+    """All learnable tensors, keyed by name in init and checkpoint order.
+
+    Each tensor's values and gradient are views of the flat buffers `values`
+    and `grads`, which hold the tensors one after another in that order: the
+    optimizer and the checkpoint codec take each buffer whole.
+    """
 
     config: TanConfig
     joints: int
     seed: int
+    values: np.ndarray
+    grads: np.ndarray
     tensors: dict[str, Tensor]
 
     def parameters(self) -> list[Tensor]:
         return list(self.tensors.values())
 
     def zero_grad(self) -> None:
-        for t in self.tensors.values():
-            t.zero_grad()
-
-    def all_finite(self) -> bool:
-        return all(np.isfinite(t.values).all() for t in self.tensors.values())
+        self.grads.fill(0.0)
 
 
 def _weight_shapes(config: TanConfig, joints: int) -> dict[str, tuple[int, ...]]:
@@ -83,18 +87,32 @@ def _weight_shapes(config: TanConfig, joints: int) -> dict[str, tuple[int, ...]]
     return shapes
 
 
+def _bind(config: TanConfig, joints: int, seed: int, values: np.ndarray) -> TanWeights:
+    """TanWeights whose tensors are views of the flat float64 buffer values, in
+    _weight_shapes order, with gradients viewing one fresh zero buffer."""
+    grads = np.zeros(values.shape)  # calloc'd (zeros_like is not): no page touched before use
+    tensors: dict[str, Tensor] = {}
+    lo = 0
+    for name, shape in _weight_shapes(config, joints).items():
+        hi = lo + math.prod(shape)
+        t = tensors[name] = Tensor(values[lo:hi].reshape(shape), op=name)
+        t.requires_grad, t.grad = True, grads[lo:hi].reshape(shape)
+        lo = hi
+    return TanWeights(config=config, joints=joints, seed=seed, values=values, grads=grads,
+                      tensors=tensors)
+
+
 def init_weights(config: TanConfig, joints: int, seed: int) -> TanWeights:
     rng = np.random.default_rng(np.random.SeedSequence([seed, 11]))
     shapes = _weight_shapes(config, joints)
-    t: dict[str, Tensor] = {}
-    for name, shape in shapes.items():
+    w = _bind(config, joints, seed, np.empty(sum(map(math.prod, shapes.values()))))
+    for name, t in w.tensors.items():
         if name.endswith((".gamma", ".beta")):  # layer norms start as the identity
-            values = np.full(shape, float(name.endswith(".gamma")))
+            t.values.fill(float(name.endswith(".gamma")))
         else:  # a linear layer's .w or .b, uniform in +-1/sqrt(fan_in of its .w)
             bound = np.sqrt(1.0 / shapes[name[:-1] + "w"][0])
-            values = rng.uniform(-bound, bound, size=shape)
-        t[name] = ad.parameter(values, name)
-    return TanWeights(config=config, joints=joints, seed=seed, tensors=t)
+            t.values[...] = rng.uniform(-bound, bound, size=t.shape)
+    return w
 
 
 def positional_encoding(length: int, dim: int) -> np.ndarray:
@@ -289,11 +307,12 @@ def _checkpoint_chunks(w: TanWeights) -> list:
     header = {"format": _CKPT_MAGIC, "version": FORMAT_VERSION, "config": asdict(w.config),
               "joints": w.joints, "seed": w.seed,
               "tensors": [{"name": n, "shape": list(t.shape)} for n, t in w.tensors.items()]}
-    return encode_container(header, [t.values for t in w.tensors.values()], "<f8")
+    return encode_container(header, [w.values], "<f8")
 
 
 def _checkpoint_shapes(header: dict, path: Path) -> list[tuple[int, ...]]:
-    """Checkpoint rule: valid config, integer seed, manifest = init_weights layout."""
+    """Checkpoint rule: valid config, integer seed, manifest = init_weights
+    layout. The payload is read as one flat array, the weights' values buffer."""
     try:
         shapes = _weight_shapes(TanConfig(**header["config"]), header["joints"])
         if not isinstance(header["seed"], int):
@@ -302,7 +321,7 @@ def _checkpoint_shapes(header: dict, path: Path) -> list[tuple[int, ...]]:
         raise HeaderError(f"{path.name}: bad checkpoint header: {exc!r}") from exc
     if header.get("tensors") != [{"name": n, "shape": list(s)} for n, s in shapes.items()]:
         raise HeaderError(f"{path.name}: tensor manifest does not match config and joints")
-    return list(shapes.values())
+    return [(sum(map(math.prod, shapes.values())),)]
 
 
 def save_checkpoint(w: TanWeights, path: str | Path) -> Path:
@@ -310,12 +329,9 @@ def save_checkpoint(w: TanWeights, path: str | Path) -> Path:
 
 
 def load_checkpoint(path: str | Path) -> TanWeights:
-    header, arrays = read_container(path, _CKPT_MAGIC, "<f8", _checkpoint_shapes)
-    # the codec's arrays are fresh and writable: wrap them, do not copy them again
-    tensors = {e["name"]: Tensor(a, requires_grad=True, op=e["name"])
-               for e, a in zip(header["tensors"], arrays)}
-    return TanWeights(config=TanConfig(**header["config"]), joints=header["joints"],
-                      seed=header["seed"], tensors=tensors)
+    header, (values,) = read_container(path, _CKPT_MAGIC, "<f8", _checkpoint_shapes)
+    # the codec's payload buffer is fresh and writable: bind it, do not copy it again
+    return _bind(TanConfig(**header["config"]), header["joints"], header["seed"], values)
 
 
 def checkpoint_digest(path: str | Path) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -145,35 +145,76 @@ def lr_at(step: int, config: TrainConfig, steps_per_epoch: int = 1) -> float:
 
 # --- optimizer -----------------------------------------------------------------
 
+# Elements per block of the optimizer pass. Its six block arrays (values,
+# gradients, both moments, two scratch) then take 1.5 MiB and stay in cache
+# from one ufunc to the next. At the paper encoder's size (6.9M parameters,
+# one core of a 2-CPU Xeon with 4 MiB L2), clip_gradients + adam_step took
+# 84/81/75/85/93/113 ms at blocks of 8k/16k/32k/64k/128k/256k elements and
+# 156 ms as one block (medians of 45 steps).
+_BLOCK = 1 << 15
+
+
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    """Step count and Adam's two moments, flat in the layout of
+    TanWeights.values; the first step allocates the moments."""
+
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     t: int = 0
 
 
-def clip_gradients(weights: TanWeights, max_norm: float) -> float:
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+def clip_gradients(weights: TanWeights, max_norm: float) -> tuple[float, float]:
+    """The global L2 norm of all gradients, and the factor that scales it
+    down to max_norm (1.0 if it is within). adam_step applies the factor, so
+    the gradients are left as they are."""
     total = np.sqrt(sum(float((p.grad ** 2).sum()) for p in weights.parameters()))
-    if total > max_norm:
-        scale = max_norm / total
-        for p in weights.parameters():
-            p.grad *= scale
-    return total
+    return total, (max_norm / total if total > max_norm else 1.0)
 
 
-def adam_step(weights: TanWeights, state: AdamState, lr: float, weight_decay: float) -> None:
+def adam_step(weights: TanWeights, state: AdamState, lr: float, weight_decay: float,
+              grad_scale: float) -> None:
+    """One Adam step on the gradients times grad_scale, as one pass over
+    _BLOCK-element blocks of the flat buffers. Each block's gradients are
+    scaled, its moments and values stepped in place (the operations and their
+    order are those of the per-tensor update m += (1 - b1) (g - m),
+    v += (1 - b2) (g^2 - v), p -= lr (m_hat / (sqrt(v_hat) + eps) + wd p)),
+    its new values checked and its gradients zeroed for the next backward.
+    Raises RuntimeError after the pass if a new value is not finite, naming
+    the step from 0 as train_tan counts them."""
+    if state.m is None:
+        state.m, state.v = np.zeros(weights.values.shape), np.zeros(weights.values.shape)
     state.t += 1
-    t = state.t
-    for name, p in weights.tensors.items():
-        g = p.grad
-        m = state.m.setdefault(name, np.zeros_like(p.values))
-        v = state.v.setdefault(name, np.zeros_like(p.values))
-        m += (1.0 - ADAM_BETA1) * (g - m)
-        v += (1.0 - ADAM_BETA2) * (g * g - v)
-        m_hat = m / (1.0 - ADAM_BETA1 ** t)
-        v_hat = v / (1.0 - ADAM_BETA2 ** t)
-        p.values -= lr * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * p.values)
+    c1, c2 = 1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2
+    bc1, bc2 = 1.0 - ADAM_BETA1 ** state.t, 1.0 - ADAM_BETA2 ** state.t
+    scratch_a, scratch_b = np.empty(_BLOCK), np.empty(_BLOCK)
+    finite = True
+    for lo in range(0, weights.values.size, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        p, g, m, v = weights.values[block], weights.grads[block], state.m[block], state.v[block]
+        a, b = scratch_a[:p.size], scratch_b[:p.size]
+        if grad_scale != 1.0:
+            g *= grad_scale
+        np.subtract(g, m, out=a)
+        a *= c1
+        m += a
+        np.multiply(g, g, out=a)
+        a -= v
+        a *= c2
+        v += a
+        np.divide(m, bc1, out=a)
+        np.divide(v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        np.multiply(p, weight_decay, out=b)
+        a += b
+        a *= lr
+        p -= a
+        finite &= bool(np.isfinite(p).all())
+        g.fill(0.0)
+    if not finite:
+        raise RuntimeError(f"non-finite weights after step {state.t - 1}")
 
 
 # --- baseline losses -------------------------------------------------------------
@@ -339,17 +380,15 @@ def train_tan(corpus: LabeledCorpus, tan_config: TanConfig, train_config: TrainC
                 loss = tcc_loss(va, vb, lengths)
 
             lr = lr_at(global_step, train_config, steps_per_epoch)
-            weights.zero_grad()
+            # the gradients are zero here: adam_step zeroes them as it reads them
             ad.backward(loss)
-            gnorm = clip_gradients(weights, GRAD_CLIP_NORM)
+            gnorm, scale = clip_gradients(weights, GRAD_CLIP_NORM)
             if not (np.isfinite(loss.values) and np.isfinite(gnorm)):
                 raise RuntimeError(
                     f"non-finite loss at step {global_step} (lr={lr:.3e}, "
                     f"grad_norm={gnorm:.3e})"
                 )
-            adam_step(weights, state, lr, WEIGHT_DECAY)
-            if not weights.all_finite():
-                raise RuntimeError(f"non-finite weights after step {global_step}")
+            adam_step(weights, state, lr, WEIGHT_DECAY, scale)
             losses.append(float(loss.values))
             gnorms.append(gnorm)
             global_step += 1

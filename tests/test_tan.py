@@ -29,6 +29,19 @@ def tiny_weights(seed=0, joints=3):
     return init_weights(TINY, joints=joints, seed=seed)
 
 
+def assert_bound(w):
+    """Every tensor's values and gradient are views of the flat buffers
+    w.values and w.grads at the tensor's offset, in tensor order."""
+    lo = 0
+    for t in w.parameters():
+        for view, flat in ((t.values, w.values), (t.grad, w.grads)):
+            assert np.shares_memory(view, flat) and view.flags.c_contiguous
+            assert view.ctypes.data == flat.ctypes.data + lo * flat.itemsize
+        lo += t.values.size
+    assert lo == w.values.size == w.grads.size
+    assert not np.shares_memory(w.values, w.grads)
+
+
 class TestConfig:
     def test_head_divisibility(self):
         with pytest.raises(ValueError):
@@ -219,6 +232,15 @@ class TestCheckpoints:
         w.tensors["embed.fc1.w"].values[0, 0] += 1.0
         assert weights_digest(w) != d1
 
+    def test_tensors_view_the_flat_buffers(self, tmp_path):
+        w = tiny_weights(seed=4)
+        assert_bound(w)
+        back = load_checkpoint(save_checkpoint(w, tmp_path / "w.tan"))
+        assert_bound(back)
+        assert back.values.tobytes() == w.values.tobytes()
+        w.zero_grad()
+        assert_bound(w)
+
     def test_loaded_weights_writable_and_train_like_in_memory(self, tmp_path):
         from motiontok.train import AdamState, adam_step, clip_gradients
         w = tiny_weights(seed=2)
@@ -226,17 +248,19 @@ class TestCheckpoints:
         assert all(t.values.flags.writeable for t in back.tensors.values())
         x = np.random.default_rng(3).normal(size=(2, 6, 9))
         weighting = np.random.default_rng(4).normal(size=(2, 6, 8))
+        grads = []
         for weights in (w, back):
             state = AdamState()
             for _ in range(3):
-                weights.zero_grad()
                 v = project(encode(x, weights), weights)
                 ad.backward(weighted_sum(v, weighting))
-                clip_gradients(weights, 0.5)
-                adam_step(weights, state, 1e-2, 1e-6)
+                grads.append(weights.grads.copy())
+                adam_step(weights, state, 1e-2, 1e-6, clip_gradients(weights, 0.5)[1])
         for name in w.tensors:
             assert np.array_equal(back.tensors[name].values, w.tensors[name].values)
-            assert np.array_equal(back.tensors[name].grad, w.tensors[name].grad)
+        assert all(np.array_equal(g, h) for g, h in zip(grads[:3], grads[3:]))
+        assert_bound(w)
+        assert_bound(back)
         assert weights_digest(back) == weights_digest(w) != checkpoint_digest(tmp_path / "w.tan")
 
     def test_reject_non_checkpoint(self, tmp_path):

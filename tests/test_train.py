@@ -10,19 +10,25 @@ from motiontok import autodiff as ad
 from motiontok.augment import match_frames
 from motiontok.autodiff import Tensor
 from motiontok.data import LabeledCorpus, generate_synthetic_corpus
-from motiontok.tan import TanConfig, init_weights, save_checkpoint, weights_digest
+from motiontok.tan import TanConfig, encode, init_weights, project, save_checkpoint, weights_digest
 from motiontok.train import (
     ALL_FRAMES,
     EXCLUDE_SAME_CLIP,
+    GRAD_CLIP_NORM,
+    WEIGHT_DECAY,
+    AdamState,
     TrainConfig,
+    adam_step,
+    clip_gradients,
     frame_nt_xent,
     lr_at,
     tcc_loss,
     tcn_loss,
     train_tan,
 )
-from testkit import (grad_check, payload_digest, reference_frame_pairs, reference_step_gradients,
-                     reference_tcc_loss, reference_tcn_loss)
+from testkit import (grad_check, payload_digest, reference_frame_pairs, reference_optimizer_step,
+                     reference_step_gradients, reference_tcc_loss, reference_tcn_loss,
+                     weighted_sum)
 
 TINY_TAN = TanConfig(hidden_dim=16, encoder_layers=1, attention_heads=2,
                      projection_dim=8, sequence_length=12)
@@ -453,6 +459,100 @@ class TestBackwardMemory:
     def test_malloc_environment_settings_win(self, monkeypatch):
         monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "131072")
         assert ad._keep_heap_mapped() is False
+
+
+class TestOptimizer:
+    # (lr, gradient scale) per step: scales from 1e-4 to 3 put the global
+    # gradient norm on both sides of GRAD_CLIP_NORM at either model size, and
+    # two steps have lr 0
+    STEPS = [(1e-2, 1e-2), (1e-2, 1.0), (0.0, 1.0), (3e-3, 1e-3), (1e-3, 3.0), (0.0, 1e-4)]
+    LARGE = TanConfig(hidden_dim=192, encoder_layers=1, attention_heads=2, projection_dim=8,
+                      sequence_length=12)
+
+    @pytest.mark.parametrize("config,block", [(TINY_TAN, 7), (TINY_TAN, 300), (LARGE, None)],
+                             ids=["tiny-block7", "tiny-block300", "large-default-block"])
+    def test_blocked_pass_matches_per_tensor_reference(self, monkeypatch, config, block):
+        from motiontok import train as train_module
+        if block is not None:
+            monkeypatch.setattr(train_module, "_BLOCK", block)
+        block = train_module._BLOCK
+        w, ref = init_weights(config, 3, 5), init_weights(config, 3, 5)
+        starts = np.cumsum([0] + [t.values.size for t in w.parameters()])
+        # a tensor spans several blocks, a block ends inside a tensor, the last block is short
+        assert max(np.diff(starts)) > block and w.values.size % block
+        assert set(range(block, w.values.size, block)) - set(starts.tolist())
+        state, ref_state = AdamState(), {"m": {}, "v": {}, "t": 0}
+        rng = np.random.default_rng(6)
+        clipped = []
+        for lr, grad_scale in self.STEPS:
+            grads = rng.normal(size=w.values.size) * grad_scale
+            # backward accumulates: w relies on the pass to have zeroed its
+            # gradients, the reference zeroes them first as train_tan did
+            w.grads += grads
+            ref.zero_grad()
+            ref.grads += grads
+            norm, scale = clip_gradients(w, GRAD_CLIP_NORM)
+            adam_step(w, state, lr, WEIGHT_DECAY, scale)
+            ref_norm = reference_optimizer_step(ref, ref_state, lr, WEIGHT_DECAY,
+                                                GRAD_CLIP_NORM)
+            clipped.append(scale != 1.0)
+            assert norm.tobytes() == ref_norm.tobytes()
+            assert w.values.tobytes() == ref.values.tobytes()
+            for flat, moments in ((state.m, ref_state["m"]), (state.v, ref_state["v"])):
+                assert flat.tobytes() == np.concatenate(
+                    [moments[name].ravel() for name in ref.tensors]).tobytes()
+            assert state.t == ref_state["t"]
+        assert any(clipped) and not all(clipped)
+
+    def test_gradients_zero_after_a_step(self):
+        w = init_weights(TINY_TAN, 3, 1)
+        x = np.random.default_rng(7).normal(size=(2, 6, 9))
+        state = AdamState()
+        for _ in range(2):
+            ad.backward(weighted_sum(project(encode(x, w), w), np.ones((2, 6, 8))))
+            assert w.grads.any()
+            adam_step(w, state, 1e-3, 1e-6, clip_gradients(w, 0.5)[1])
+            assert all(not t.grad.any() for t in w.parameters())
+            assert not w.grads.any()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_nonfinite_weights_reported_after_the_whole_pass(self, monkeypatch):
+        from motiontok import train as train_module
+        monkeypatch.setattr(train_module, "_BLOCK", 64)
+        w = init_weights(TINY_TAN, 3, 1)
+        w.tensors["embed.fc1.w"].values[...] = 1e308  # 144 values: blocks 0-2
+        w.grads[...] = -1.0
+        before = w.values.copy()
+        with pytest.raises(RuntimeError, match=r"^non-finite weights after step 0$"):
+            adam_step(w, AdamState(), 1e308, 1e-6, 1.0)
+        assert np.isinf(w.tensors["embed.fc1.w"].values).all()
+        # the later blocks were still stepped and zeroed
+        assert np.isfinite(w.values[-64:]).all() and (w.values[-64:] != before[-64:]).all()
+        assert not w.grads.any()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_train_tan_stops_on_nonfinite_weights(self, corpus, monkeypatch):
+        from motiontok import train as train_module
+        monkeypatch.setattr(train_module, "lr_at", lambda *args: np.inf)
+        cfg = TrainConfig(batch_size=4, frames=12, peak_lr=2e-3, epochs=1, warmup_epochs=0,
+                          seed=3)
+        with pytest.raises(RuntimeError, match=r"^non-finite weights after step 0$"):
+            train_tan(corpus, TINY_TAN, cfg)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_loss_raises_before_any_weight_moves(self, monkeypatch):
+        from motiontok import train as train_module
+        from motiontok.data import SkeletonSequence
+        steps = []
+        monkeypatch.setattr(train_module, "adam_step", lambda *args: steps.append(args))
+        huge = SkeletonSequence(data=np.full((16, 3, 3), 1e200), fps=30.0)
+        corpus = LabeledCorpus(sequences=[huge, huge],
+                               frame_labels=[np.zeros(16, dtype=int)] * 2,
+                               primitive_count=1)
+        cfg = TrainConfig(batch_size=2, frames=12, peak_lr=2e-3, epochs=1, warmup_epochs=0)
+        with pytest.raises(RuntimeError, match="^non-finite loss at step 0"):
+            train_tan(corpus, TINY_TAN, cfg)
+        assert steps == []
 
 
 @pytest.fixture(scope="module")

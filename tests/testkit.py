@@ -14,6 +14,9 @@ here rather than in `motiontok`.
 - `weighted_sum`: sum(x * w) for a constant w as one graph node, the scalar
   the gradient checks differentiate.
 - `reference_step_gradients`: one training step's gradients, computed clip by clip.
+- `reference_optimizer_step`: the per-tensor gradient clipping and Adam step
+  that the blocked pass of `train.clip_gradients` + `train.adam_step`
+  replaced; the pass is held to it bit for bit.
 - `reference_tcn_loss`, `reference_tcc_loss`: one clip's TCN and TCC losses
   in numpy, the forward references of the fused `train.tcn_loss` and
   `train.tcc_loss`.
@@ -102,6 +105,33 @@ def reference_step_gradients(weights, pairs, loss_kind: str, train_config,
         ad.backward(train.tcn_loss(a, b, lengths, train.TCN_ANCHORS, rng) if loss_kind == "tcn"
                     else train.tcc_loss(a, b, lengths))
     return {name: t.grad / len(pairs) for name, t in weights.tensors.items()}
+
+
+def reference_optimizer_step(weights, state: dict, lr: float, weight_decay: float,
+                             max_norm: float) -> float:
+    """One clipped Adam step tensor by tensor, as `train_tan` took it before
+    the optimizer became one blocked pass over flat buffers: scale every
+    gradient in place so the global L2 norm is at most max_norm, then step
+    each tensor with its own moments, state = {"m": {}, "v": {}, "t": 0} keyed
+    by tensor name. Returns the unclipped norm; the gradients stay scaled."""
+    from motiontok import train
+    total = np.sqrt(sum(float((p.grad ** 2).sum()) for p in weights.parameters()))
+    if total > max_norm:
+        scale = max_norm / total
+        for p in weights.parameters():
+            p.grad *= scale
+    state["t"] += 1
+    t = state["t"]
+    for name, p in weights.tensors.items():
+        g = p.grad
+        m = state["m"].setdefault(name, np.zeros_like(p.values))
+        v = state["v"].setdefault(name, np.zeros_like(p.values))
+        m += (1.0 - train.ADAM_BETA1) * (g - m)
+        v += (1.0 - train.ADAM_BETA2) * (g * g - v)
+        m_hat = m / (1.0 - train.ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - train.ADAM_BETA2 ** t)
+        p.values -= lr * (m_hat / (np.sqrt(v_hat) + train.ADAM_EPS) + weight_decay * p.values)
+    return total
 
 
 def reference_tcn_loss(v_a: np.ndarray, v_b: np.ndarray, anchors: int,
@@ -304,7 +334,7 @@ def grad_check(f, x: ad.Tensor, eps: float = 1e-4) -> float:
     Relative error per coordinate: |analytic - numeric| divided by
     max(1e-8, |analytic| + |numeric|).
     """
-    x.zero_grad()
+    x.grad[...] = 0.0
     out = f(x)
     ad.backward(out)
     analytic = x.grad.copy()
