@@ -1,13 +1,13 @@
 """Minimal dense-tensor reverse-mode automatic differentiation on float64 numpy arrays.
 
-Every operation records its parents and a backward closure on the result
-tensor; `backward` walks the implicit DAG once in reverse topological order
-and accumulates exact analytic gradients. There is no implicit broadcasting:
-`add` demands identical shapes. The module holds only the ops the package
-runs: the encoder's (linear, relu, add, reshape, attention, layer_norm,
-l2_normalize), the slicing and joining of view blocks (slice_tensor, concat),
-and the three training losses, each one node with a hand-written backward
-(nt_xent, triplet_margin, cycle_back).
+A Tensor is an array and its graph `Node`. Every operation records, on the
+result's node, its parents' nodes and a backward closure; `backward` walks
+the nodes once in reverse topological order and accumulates exact analytic
+gradients. There is no implicit broadcasting: `add` demands identical shapes.
+The module holds only the ops the package runs: the encoder's (linear, relu,
+add, reshape, attention, layer_norm, l2_normalize), the slicing and joining of
+view blocks (slice_tensor, concat), and the three training losses, each one
+node with a hand-written backward (nt_xent, triplet_margin, cycle_back).
 
 The ops the encoder forward runs (linear, relu, add, attention, layer_norm,
 l2_normalize) also run graph-free: with no Tensor operand they return the
@@ -16,10 +16,20 @@ nothing. Inference runs the encoder that way; Tensor operands give a Tensor,
 under `no_grad` too. Every other op wraps plain-array operands as leaves and
 returns a Tensor.
 
-Memory: parameters (leaves that require grad) hold an eager `.grad`, which
+Memory: a node holds no values, so an op's output lives only as long as a
+Tensor holding it or a backward closure that reads it. Each closure keeps
+exactly the arrays its backward reads: linear its input (and the weight),
+relu its own output (its mask), layer_norm the normalized input, the inverse
+deviations and the active-row mask, attention q, k, v and the softmax
+probabilities, l2_normalize its output and the norms, nt_xent the two blocks
+and the masked rows with their logsumexps, triplet_margin the differences,
+distances and hinges, cycle_back its padded blocks and both softmaxes; add,
+reshape, slice_tensor and concat keep no array. A residual sum or an
+attention output projection is therefore freed as soon as the forward has
+used it. Parameters (leaves given a gradient buffer) hold that buffer, which
 the optimizer reads. An interior node gets its gradient buffer on the first
-accumulation into it, and `backward` drops that buffer and the node's closure,
-with the forward buffers it holds, as soon as the node has been propagated.
+accumulation into it, and `backward` drops that buffer and the node's
+closure, with the arrays it keeps, as soon as the node has been propagated.
 Loading this module fixes glibc malloc's thresholds (`_keep_heap_mapped`), so
 that the buffers one training step frees are reused by the next step instead
 of going back to the system and faulting in again; `release_free_heap` hands
@@ -110,55 +120,79 @@ def no_grad():
         _STATE.grad_enabled = prev
 
 
-class Tensor:
-    __slots__ = ("values", "requires_grad", "grad", "parents", "op", "_backward")
+class Node:
+    """The graph record of one op result or leaf: its parents' nodes, the
+    backward closure, the gradient buffer, whether a gradient flows to it, the
+    op name and the shape. It holds no values; the closure keeps the arrays
+    its backward reads and nothing else.
 
-    def __init__(self, values, requires_grad: bool = False, parents=(), op: str = "leaf",
-                 backward=None):
-        self.values = np.asarray(values, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
-        # calloc'd zeros: a parameter that never trains touches no gradient page
-        self.grad = np.zeros(self.values.shape) if self.requires_grad and not parents else None
-        self.parents = tuple(parents)
-        self.op = op
+    A leaf requires grad when it is given a gradient buffer `grad` of its
+    shape, which backward accumulates into; an op's node requires grad when it
+    has parents, because it is recorded only when a gradient flows to one."""
+
+    __slots__ = ("parents", "_backward", "grad", "requires_grad", "op", "shape")
+
+    def __init__(self, shape: tuple[int, ...], op: str = "leaf", parents: tuple = (),
+                 backward=None, grad: np.ndarray | None = None):
+        self.parents = parents
         self._backward = backward
+        self.grad = grad
+        self.requires_grad = bool(parents) or grad is not None
+        self.op = op
+        self.shape = shape
+
+    def __repr__(self) -> str:
+        return f"Node(op={self.op!r}, shape={self.shape}, requires_grad={self.requires_grad})"
+
+
+class Tensor:
+    """An array and its graph node; a plain leaf (no gradient) by default."""
+
+    __slots__ = ("values", "node")
+
+    def __init__(self, values, node: Node | None = None):
+        self.values = np.asarray(values, dtype=np.float64)
+        self.node = Node(self.values.shape) if node is None else node
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
+    @property
+    def grad(self) -> np.ndarray | None:
+        """The node's gradient buffer: a parameter's accumulator, which the
+        optimizer reads; None on an interior node outside backward."""
+        return self.node.grad
+
     def __repr__(self) -> str:
-        return f"Tensor(op={self.op!r}, shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor({self.node!r})"
 
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def parameter(values, name: str = "param") -> Tensor:
-    return Tensor(np.array(values, dtype=np.float64), requires_grad=True, op=name)
+def _result(values, parents: tuple[Node, ...], op: str, backward) -> Tensor:
+    """values as a Tensor whose node records op over the parent nodes, if
+    recording is on and a gradient flows to one of them; else as a leaf."""
+    if _grad_enabled() and any(p.requires_grad for p in parents):
+        return Tensor(values, Node(np.shape(values), op, parents, backward))
+    return Tensor(values, Node(np.shape(values), op))
 
 
-def _result(values, parents, op, backward) -> Tensor:
-    track = _grad_enabled() and any(p.requires_grad for p in parents)
-    if not track:
-        return Tensor(values, op=op)
-    return Tensor(values, requires_grad=True, parents=parents, op=op, backward=backward)
+def _grad_buffer(node: Node) -> np.ndarray:
+    """node's gradient accumulator, allocated as zeros on first use."""
+    if node.grad is None:
+        node.grad = np.zeros(node.shape)
+    return node.grad
 
 
-def _grad_buffer(t: Tensor) -> np.ndarray:
-    """t's gradient accumulator, allocated as zeros in t's layout on first use."""
-    if t.grad is None:
-        t.grad = np.zeros_like(t.values)
-    return t.grad
-
-
-def _accumulate(t: Tensor, g) -> None:
-    buf = _grad_buffer(t)
+def _accumulate(node: Node, g) -> None:
+    buf = _grad_buffer(node)
     buf += g
 
 
-def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
+def _same_shape(op: str, a, b) -> None:
     if a.shape != b.shape:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} must match exactly")
 
@@ -171,25 +205,26 @@ def add(a, b) -> Tensor | np.ndarray:
         return a + b
     a, b = as_tensor(a), as_tensor(b)
     _same_shape("add", a, b)
+    an, bn = a.node, b.node
 
     def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g)
-        if b.requires_grad:
-            _accumulate(b, g)
+        if an.requires_grad:
+            _accumulate(an, g)
+        if bn.requires_grad:
+            _accumulate(bn, g)
 
-    return _result(a.values + b.values, (a, b), "add", bwd)
+    return _result(a.values + b.values, (an, bn), "add", bwd)
 
 
 def relu(a) -> Tensor | np.ndarray:
     if not isinstance(a, Tensor):
         return np.maximum(a, 0.0)
+    an, out = a.node, np.maximum(a.values, 0.0)
 
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g * (a.values > 0.0))
+    def bwd(g):  # out > 0 where a > 0, so the output gives the mask
+        _accumulate(an, g * (out > 0.0))
 
-    return _result(np.maximum(a.values, 0.0), (a,), "relu", bwd)
+    return _result(out, (an,), "relu", bwd)
 
 
 # --- shape ops ---------------------------------------------------------------
@@ -211,54 +246,54 @@ def linear(x, w, b) -> Tensor | np.ndarray:
     out = out.reshape(*x.shape[:-1], w.shape[1])
     if not graph:
         return out
+    xn, wn, bn = x.node, w.node, b.node
 
     def bwd(g):
-        g2 = g.reshape(-1, w.shape[1])
-        if b.requires_grad:
-            _accumulate(b, g2.sum(axis=0))
-        if w.requires_grad:
-            _accumulate(w, np.matmul(x.values.reshape(-1, w.shape[0]).T, g2))
-        if x.requires_grad:
-            _accumulate(x, np.matmul(g2, w.values.T).reshape(x.shape))
+        g2 = g.reshape(-1, wv.shape[1])
+        if bn.requires_grad:
+            _accumulate(bn, g2.sum(axis=0))
+        if wn.requires_grad:
+            _accumulate(wn, np.matmul(xv.reshape(-1, wv.shape[0]).T, g2))
+        if xn.requires_grad:
+            _accumulate(xn, np.matmul(g2, wv.T).reshape(xn.shape))
 
-    return _result(out, (x, w, b), "linear", bwd)
+    return _result(out, (xn, wn, bn), "linear", bwd)
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = as_tensor(a)
-    old = a.shape
+    an = a.node
 
     def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, g.reshape(old))
+        _accumulate(an, g.reshape(an.shape))
 
-    return _result(a.values.reshape(shape), (a,), "reshape", bwd)
+    return _result(a.values.reshape(shape), (an,), "reshape", bwd)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
-    sizes = [t.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    nodes = tuple(t.node for t in tensors)
+    splits = np.cumsum([n.shape[axis] for n in nodes])[:-1]
 
     def bwd(g):
         pieces = np.split(g, splits, axis=axis)
-        for t, piece in zip(tensors, pieces):
-            if t.requires_grad:
-                _accumulate(t, piece)
+        for n, piece in zip(nodes, pieces):
+            if n.requires_grad:
+                _accumulate(n, piece)
 
     return _result(np.concatenate([t.values for t in tensors], axis=axis),
-                   tuple(tensors), "concat", bwd)
+                   nodes, "concat", bwd)
 
 
 def slice_tensor(a, key) -> Tensor:
     """Basic slicing (tuple of slices); gradients scatter back into place."""
     a = as_tensor(a)
+    an = a.node
 
     def bwd(g):
-        if a.requires_grad:
-            _grad_buffer(a)[key] += g
+        _grad_buffer(an)[key] += g
 
-    return _result(a.values[key], (a,), "slice", bwd)
+    return _result(a.values[key], (an,), "slice", bwd)
 
 
 # --- attention ---------------------------------------------------------------
@@ -297,9 +332,9 @@ def attention(q, k, v, heads: int, q_offsets, kv_offsets) -> Tensor | np.ndarray
     product for the scores and one for the context, with the heads folded
     into the batch axis: (m, L, h) -> (m, heads, L, h / heads). When all
     segments have equal lengths, these are the products of the plain batched
-    form over (segments, heads). Returns q's shape. The backward keeps the
-    groups' softmax probabilities and nothing else; they are the list `probs`
-    on the backward function.
+    form over (segments, heads). Returns q's shape. The backward keeps q, k, v
+    and the groups' softmax probabilities, the list `probs` on the backward
+    function.
     """
     graph = isinstance(q, Tensor) or isinstance(k, Tensor) or isinstance(v, Tensor)
     if graph:
@@ -343,11 +378,12 @@ def attention(q, k, v, heads: int, q_offsets, kv_offsets) -> Tensor | np.ndarray
     out = out.reshape(q.shape)
     if not graph:
         return out
+    qn, kn, vn = q.node, k.node, v.node
 
     def bwd(g):
         g2 = g.reshape(-1, h)
-        dq, dk, dv = (np.empty_like(x) if t.requires_grad else None
-                      for t, x in ((q, q2), (k, k2), (v, v2)))
+        dq, dk, dv = (np.empty_like(x) if n.requires_grad else None
+                      for n, x in ((qn, q2), (kn, k2), (vn, v2)))
         for (rows_q, rows_k, m), attn in zip(groups, probs):
             gc = split(g2[rows_q], m)
             if dv is not None:
@@ -361,12 +397,12 @@ def attention(q, k, v, heads: int, q_offsets, kv_offsets) -> Tensor | np.ndarray
                 dq[rows_q] = merge(np.matmul(ds, split(k2[rows_k], m)))
             if dk is not None:
                 dk[rows_k] = merge(np.matmul(np.swapaxes(ds, -1, -2), split(q2[rows_q], m)))
-        for t, d in ((q, dq), (k, dk), (v, dv)):
+        for n, d in ((qn, dq), (kn, dk), (vn, dv)):
             if d is not None:
-                _accumulate(t, d.reshape(t.shape))
+                _accumulate(n, d.reshape(n.shape))
 
     bwd.probs = probs
-    return _result(out, (q, k, v), "attention", bwd)
+    return _result(out, (qn, kn, vn), "attention", bwd)
 
 
 # --- normalization -----------------------------------------------------------
@@ -390,19 +426,20 @@ def layer_norm(a, gamma, beta, eps: float = 1e-5) -> Tensor | np.ndarray:
     if not graph:
         return out_values
     active = var > eps
+    an, gn, bn = a.node, gamma.node, beta.node
 
     def bwd(g):
-        if gamma.requires_grad:
-            _accumulate(gamma, (g * xhat).reshape(-1, d).sum(axis=0))
-        if beta.requires_grad:
-            _accumulate(beta, g.reshape(-1, d).sum(axis=0))
-        if a.requires_grad:
-            dxhat = g * gamma.values
+        if gn.requires_grad:
+            _accumulate(gn, (g * xhat).reshape(-1, d).sum(axis=0))
+        if bn.requires_grad:
+            _accumulate(bn, g.reshape(-1, d).sum(axis=0))
+        if an.requires_grad:
+            dxhat = g * gv
             term = dxhat - dxhat.mean(axis=-1, keepdims=True)
             term -= active * xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(a, inv * term)
+            _accumulate(an, inv * term)
 
-    return _result(out_values, (a, gamma, beta), "layer_norm", bwd)
+    return _result(out_values, (an, gn, bn), "layer_norm", bwd)
 
 
 def l2_normalize(a) -> Tensor | np.ndarray:
@@ -414,13 +451,13 @@ def l2_normalize(a) -> Tensor | np.ndarray:
     out_values = x / norm
     if not isinstance(a, Tensor):
         return out_values
+    an = a.node
 
     def bwd(g):
-        if a.requires_grad:
-            dot = (g * out_values).sum(axis=-1, keepdims=True)
-            _accumulate(a, (g - out_values * dot) / norm)
+        dot = (g * out_values).sum(axis=-1, keepdims=True)
+        _accumulate(an, (g - out_values * dot) / norm)
 
-    return _result(out_values, (a,), "l2_normalize", bwd)
+    return _result(out_values, (an,), "l2_normalize", bwd)
 
 
 # --- losses ------------------------------------------------------------------
@@ -451,8 +488,9 @@ def nt_xent(a, b, inv_tau: float, anchors, positives, mask_ab, mask_ba) -> Tenso
     if np.unique(anchors).size != p or np.unique(positives).size != p:
         raise ValueError("nt_xent: anchors and positives must each be distinct")
     inv_tau = float(inv_tau)
-    sim = np.matmul(a.values, np.transpose(b.values)) * inv_tau
-    picked = np.arange(p)
+    av, bv, an, bn = a.values, b.values, a.node, b.node
+    sim = np.matmul(av, np.transpose(bv)) * inv_tau
+    sim_shape, picked = sim.shape, np.arange(p)
 
     def direction(s, rows_idx, cols_idx, mask):
         rows = s[rows_idx]
@@ -467,19 +505,19 @@ def nt_xent(a, b, inv_tau: float, anchors, positives, mask_ab, mask_ba) -> Tenso
 
     def bwd(g):
         scale = g / n
-        g_sim = np.zeros_like(sim)
+        g_sim = np.zeros(sim_shape)
         for view, rows, cols, neg_inf, lse in ((g_sim, anchors, positives, neg_ab, lse_ab),
                                                (g_sim.T, positives, anchors, neg_ba, lse_ba)):
             grad = scale * np.exp(neg_inf - lse[:, None])
             grad[picked, cols] -= scale
             view[rows] += grad
         g_sim *= inv_tau
-        if a.requires_grad:
-            _accumulate(a, np.matmul(g_sim, b.values))
-        if b.requires_grad:
-            _accumulate(b, np.matmul(a.values.T, g_sim).T)
+        if an.requires_grad:
+            _accumulate(an, np.matmul(g_sim, bv))
+        if bn.requires_grad:
+            _accumulate(bn, np.matmul(av.T, g_sim).T)
 
-    return _result(np.concatenate([terms_ab, terms_ba]).mean(), (a, b), "nt_xent", bwd)
+    return _result(np.concatenate([terms_ab, terms_ba]).mean(), (an, bn), "nt_xent", bwd)
 
 
 def triplet_margin(a, b, anchors, positives, negatives, clips, margin: float) -> Tensor:
@@ -514,6 +552,7 @@ def triplet_margin(a, b, anchors, positives, negatives, clips, margin: float) ->
     k = negatives.shape[1]
     clip_sums = np.bincount(clips, weights=np.maximum(hinge, 0.0).sum(axis=1))
     value = (clip_sums / (per_clip * k)).mean()
+    an, bn = a.node, b.node
 
     def bwd(g):
         # d value / d hinge for every active (anchor, negative) pair
@@ -521,14 +560,14 @@ def triplet_margin(a, b, anchors, positives, negatives, clips, margin: float) ->
         inv = lambda d: np.divide(1.0, d, out=np.zeros_like(d), where=d > 0.0)
         g_ap = (g_hinge.sum(axis=1) * inv(d_ap))[:, None] * diff_ap
         g_an = (-g_hinge * inv(d_an))[..., None] * diff_an
-        if a.requires_grad:
-            ga = _grad_buffer(a)
+        if an.requires_grad:
+            ga = _grad_buffer(an)
             np.add.at(ga, anchors, g_ap + g_an.sum(axis=1))
             np.add.at(ga, positives, -g_ap)
-        if b.requires_grad:
-            np.add.at(_grad_buffer(b), negatives.reshape(-1), -g_an.reshape(-1, b.shape[1]))
+        if bn.requires_grad:
+            np.add.at(_grad_buffer(bn), negatives.reshape(-1), -g_an.reshape(-1, bn.shape[1]))
 
-    return _result(value, (a, b), "triplet_margin", bwd)
+    return _result(value, (an, bn), "triplet_margin", bwd)
 
 
 def cycle_back(a, b, lengths_a, lengths_b, temperature: float) -> Tensor:
@@ -583,6 +622,7 @@ def cycle_back(a, b, lengths_a, lengths_b, temperature: float) -> Tensor:
     diag = np.arange(valid_a.shape[1])
     terms = np.where(valid_a, lse[..., 0] - s2[:, diag, diag], 0.0)
     value = (terms.sum(axis=1) / len_a).mean()
+    an, bn = a.node, b.node
 
     def bwd(g):
         g_terms = (g / (c * len_a))[:, None] * valid_a
@@ -593,21 +633,21 @@ def cycle_back(a, b, lengths_a, lengths_b, temperature: float) -> Tensor:
         gy = np.matmul(swap(w), g_nn)
         g_s1 = w * (g_w - (g_w * w).sum(axis=-1, keepdims=True))
         gx1, gy1 = sq_dist_grads(g_s1 * scale, x, y)
-        if a.requires_grad:
-            _accumulate(a, (gx + gx1)[valid_a])
-        if b.requires_grad:
-            _accumulate(b, (gy + gy1)[valid_b])
+        if an.requires_grad:
+            _accumulate(an, (gx + gx1)[valid_a])
+        if bn.requires_grad:
+            _accumulate(bn, (gy + gy1)[valid_b])
 
-    return _result(value, (a, b), "cycle_back", bwd)
+    return _result(value, (an, bn), "cycle_back", bwd)
 
 
 # --- graph walk ---------------------------------------------------------------
 
-def topo_order(root: Tensor) -> list[Tensor]:
-    """All recorded tensors reachable from root, parents before children."""
-    order: list[Tensor] = []
+def topo_order(root: Tensor) -> list[Node]:
+    """The nodes reachable from root's, parents before children."""
+    order: list[Node] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[Node, bool]] = [(root.node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -632,12 +672,13 @@ def backward(loss: Tensor) -> None:
     """
     if loss.values.shape != ():
         raise ValueError(f"backward expects a scalar loss, got shape {loss.shape}")
-    if not loss.requires_grad:
+    root = loss.node
+    if not root.requires_grad:
         return
-    if loss.parents and loss._backward is None:
+    if root.parents and root._backward is None:
         raise RuntimeError("backward: this graph was already propagated")
     order = topo_order(loss)
-    _accumulate(loss, 1.0)
+    _accumulate(root, 1.0)
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)

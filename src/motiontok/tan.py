@@ -95,8 +95,8 @@ def _bind(config: TanConfig, joints: int, seed: int, values: np.ndarray) -> TanW
     lo = 0
     for name, shape in _weight_shapes(config, joints).items():
         hi = lo + math.prod(shape)
-        t = tensors[name] = Tensor(values[lo:hi].reshape(shape), op=name)
-        t.requires_grad, t.grad = True, grads[lo:hi].reshape(shape)
+        tensors[name] = Tensor(values[lo:hi].reshape(shape),
+                               ad.Node(shape, name, grad=grads[lo:hi].reshape(shape)))
         lo = hi
     return TanWeights(config=config, joints=joints, seed=seed, values=values, grads=grads,
                       tensors=tensors)

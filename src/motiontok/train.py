@@ -145,12 +145,12 @@ def lr_at(step: int, config: TrainConfig, steps_per_epoch: int = 1) -> float:
 
 # --- optimizer -----------------------------------------------------------------
 
-# Elements per block of the optimizer pass. Its six block arrays (values,
-# gradients, both moments, two scratch) then take 1.5 MiB and stay in cache
+# Elements per block of the optimizer pass. Its five block arrays (values,
+# gradients, both moments, one scratch) then take 1.25 MiB and stay in cache
 # from one ufunc to the next. At the paper encoder's size (6.9M parameters,
 # one core of a 2-CPU Xeon with 4 MiB L2), clip_gradients + adam_step took
 # 84/81/75/85/93/113 ms at blocks of 8k/16k/32k/64k/128k/256k elements and
-# 156 ms as one block (medians of 45 steps).
+# 156 ms as one block (medians of 45 steps, with a second scratch array).
 _BLOCK = 1 << 15
 
 
@@ -180,19 +180,21 @@ def adam_step(weights: TanWeights, state: AdamState, lr: float, weight_decay: fl
     order are those of the per-tensor update m += (1 - b1) (g - m),
     v += (1 - b2) (g^2 - v), p -= lr (m_hat / (sqrt(v_hat) + eps) + wd p)),
     its new values checked and its gradients zeroed for the next backward.
-    Raises RuntimeError after the pass if a new value is not finite, naming
-    the step from 0 as train_tan counts them."""
+    Once the second moment is stepped the gradient block is not read again,
+    so it serves as the second scratch array until it is zeroed. Raises
+    RuntimeError after the pass if a new value is not finite, naming the step
+    from 0 as train_tan counts them."""
     if state.m is None:
         state.m, state.v = np.zeros(weights.values.shape), np.zeros(weights.values.shape)
     state.t += 1
     c1, c2 = 1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2
     bc1, bc2 = 1.0 - ADAM_BETA1 ** state.t, 1.0 - ADAM_BETA2 ** state.t
-    scratch_a, scratch_b = np.empty(_BLOCK), np.empty(_BLOCK)
+    scratch = np.empty(_BLOCK)
     finite = True
     for lo in range(0, weights.values.size, _BLOCK):
         block = slice(lo, lo + _BLOCK)
         p, g, m, v = weights.values[block], weights.grads[block], state.m[block], state.v[block]
-        a, b = scratch_a[:p.size], scratch_b[:p.size]
+        a = scratch[:p.size]
         if grad_scale != 1.0:
             g *= grad_scale
         np.subtract(g, m, out=a)
@@ -203,12 +205,12 @@ def adam_step(weights: TanWeights, state: AdamState, lr: float, weight_decay: fl
         a *= c2
         v += a
         np.divide(m, bc1, out=a)
-        np.divide(v, bc2, out=b)
-        np.sqrt(b, out=b)
-        b += ADAM_EPS
-        a /= b
-        np.multiply(p, weight_decay, out=b)
-        a += b
+        np.divide(v, bc2, out=g)
+        np.sqrt(g, out=g)
+        g += ADAM_EPS
+        a /= g
+        np.multiply(p, weight_decay, out=g)
+        a += g
         a *= lr
         p -= a
         finite &= bool(np.isfinite(p).all())

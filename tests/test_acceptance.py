@@ -28,8 +28,8 @@ from motiontok.tan import TanConfig, encode, init_weights, project
 from motiontok.train import frame_nt_xent, tcc_loss, tcn_loss, train_tan
 
 from test_autodiff import _catalog_cases, _param
-from testkit import (exact_block_entropies, grad_check, raw_embed, stationary_distribution,
-                     weighted_sum)
+from testkit import (exact_block_entropies, grad_check, parameter, raw_embed,
+                     stationary_distribution, weighted_sum)
 
 
 pytestmark = pytest.mark.slow
@@ -114,7 +114,7 @@ def test_criterion_1_gradient_integrity():
         return frame_nt_xent(parts, vb, corr, mode="exclude_same_clip", tau=0.3)
 
     worst["frame_nt_xent"] = grad_check(
-        nt_xent_probe, ad.parameter(rng.normal(size=(7, 5))), eps=1e-4)
+        nt_xent_probe, parameter(rng.normal(size=(7, 5))), eps=1e-4)
 
     # the baselines over two clips whose views differ in length
     tcn_vb = rng.normal(size=(21, 4))
@@ -122,12 +122,12 @@ def test_criterion_1_gradient_integrity():
         lambda t: tcn_loss(t, tcn_vb, ([9, 12], [14, 7]), anchors=3,
                            rng=np.random.default_rng(3), margin=1.0, pos_window=2,
                            neg_multiplier=2),
-        ad.parameter(rng.normal(size=(21, 4)) * 2.0), eps=1e-5)
+        parameter(rng.normal(size=(21, 4)) * 2.0), eps=1e-5)
 
     tcc_vb = rng.normal(size=(8, 3))
     worst["tcc_loss"] = grad_check(
         lambda t: tcc_loss(t, tcc_vb, ([4, 3], [5, 3]), tau_soft=0.5),
-        ad.parameter(rng.normal(size=(7, 3))), eps=1e-4)
+        parameter(rng.normal(size=(7, 3))), eps=1e-4)
 
     tiny = TanConfig(hidden_dim=16, encoder_layers=1, attention_heads=2,
                      projection_dim=8, sequence_length=6)

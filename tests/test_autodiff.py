@@ -9,7 +9,7 @@ import pytest
 from motiontok import autodiff as ad
 from motiontok import train
 from motiontok.autodiff import ShapeError, Tensor
-from testkit import grad_check, weighted_sum
+from testkit import grad_check, parameter, weighted_sum
 
 
 def _param(shape, seed, avoid_kink=None):
@@ -18,7 +18,7 @@ def _param(shape, seed, avoid_kink=None):
     if avoid_kink is not None:
         while (np.abs(values) < avoid_kink).any():
             values = rng.normal(size=shape)
-    return ad.parameter(values)
+    return parameter(values)
 
 
 def _rand_weighting(shape, seed):
@@ -53,8 +53,8 @@ class TestForwardValues:
 
 class TestBackwardStructure:
     def test_matmul_sum_hand_computed(self):
-        a = ad.parameter(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        b = ad.parameter(np.array([[5.0, 6.0], [7.0, 8.0]]))
+        a = parameter(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        b = parameter(np.array([[5.0, 6.0], [7.0, 8.0]]))
         loss = weighted_sum(ad.linear(a, b, np.zeros(2)), np.ones((2, 2)))
         ad.backward(loss)
         # dL/dA = ones @ B^T, dL/dB = A^T @ ones, evaluated by hand
@@ -62,26 +62,26 @@ class TestBackwardStructure:
         np.testing.assert_allclose(b.grad, [[4.0, 4.0], [6.0, 6.0]])
 
     def test_disconnected_parameter_grad_stays_zero(self):
-        a = ad.parameter(np.ones(3))
-        b = ad.parameter(np.ones(3))
+        a = parameter(np.ones(3))
+        b = parameter(np.ones(3))
         loss = weighted_sum(ad.relu(a), np.ones(3))
         ad.backward(loss)
         assert np.array_equal(b.grad, np.zeros(3))
 
     def test_two_paths_accumulate(self):
-        x = ad.parameter(np.array(2.0))
+        x = parameter(np.array(2.0))
         loss = ad.add(ad.relu(x), ad.relu(x))  # 2 relu(x) -> grad 2
         ad.backward(loss)
         assert x.grad == pytest.approx(2.0)
 
     def test_non_scalar_loss_rejected(self):
-        x = ad.parameter(np.ones(3))
+        x = parameter(np.ones(3))
         with pytest.raises(ValueError):
             ad.backward(ad.add(x, x))
 
     def test_backward_deterministic(self):
         def run():
-            x = ad.parameter(np.arange(6.0).reshape(2, 3) + 1)
+            x = parameter(np.arange(6.0).reshape(2, 3) + 1)
             y = ad.l2_normalize(ad.layer_norm(x, np.full(3, 1.5), np.full(3, 0.5)))
             ad.backward(weighted_sum(y, _rand_weighting((2, 3), 1)))
             return x.grad.copy()
@@ -89,33 +89,35 @@ class TestBackwardStructure:
         assert np.array_equal(run(), run())
 
     def test_interior_grad_allocated_on_use_and_released(self):
-        x = ad.parameter(np.ones(3))
+        x = parameter(np.ones(3))
         y = ad.add(x, x)
         loss = weighted_sum(y, np.ones(3))
         assert y.grad is None and loss.grad is None  # nothing allocated by the forward
         ad.backward(loss)
-        assert y.grad is None and y._backward is None
-        assert loss.grad is None and loss._backward is None
-        assert y.parents == (x, x)  # the graph stays walkable
+        assert y.grad is None and y.node._backward is None
+        assert loss.grad is None and loss.node._backward is None
+        assert y.node.parents == (x.node, x.node)  # the graph stays walkable
         np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
         with pytest.raises(RuntimeError, match="already propagated"):
             ad.backward(loss)
         np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
 
     def test_no_grad_blocks_recording(self):
-        x = ad.parameter(np.ones(3))
+        x = parameter(np.ones(3))
         with ad.no_grad():
             y = ad.add(x, x)
-        assert not y.requires_grad and y.parents == ()
+        assert not y.node.requires_grad and y.node.parents == ()
 
 
 class TestGradCheckOracle:
     def test_quadratic_tight(self):
         # central differences are exact to O(eps^2) for quadratics
         def square_sum(t):
+            tn, tv = t.node, t.values
+
             def bwd(g):
-                ad._accumulate(t, 2.0 * g * t.values)
-            return ad._result((t.values * t.values).sum(), (t,), "square_sum", bwd)
+                ad._accumulate(tn, 2.0 * g * tv)
+            return ad._result((tv * tv).sum(), (tn,), "square_sum", bwd)
 
         x = _param((4, 3), seed=5)
         err = grad_check(square_sum, x, eps=1e-4)
@@ -130,10 +132,10 @@ class TestGradCheckOracle:
             h = ad.relu(ad.linear(t, w1, np.zeros(6)))
             return weighted_sum(ad.linear(h, w2, np.zeros(1)), np.ones((3, 1)))
 
-        x = ad.parameter(rng.normal(size=(3, 5)))
+        x = parameter(rng.normal(size=(3, 5)))
         # keep preactivations away from the ReLU kink
         while (np.abs(np.matmul(x.values, w1.values)) < 1e-3).any():
-            x = ad.parameter(rng.normal(size=(3, 5)))
+            x = parameter(rng.normal(size=(3, 5)))
         assert grad_check(mlp, x, eps=1e-4) < 1e-4
 
     def test_constant_function(self):
@@ -273,14 +275,14 @@ def _forward_op_cases():
 def test_forward_op_on_arrays_runs_graph_free(name, fn, operands):
     out = fn(*operands)
     assert type(out) is np.ndarray
-    recorded = fn(*[ad.parameter(x) for x in operands])
-    assert isinstance(recorded, Tensor) and recorded.requires_grad
+    recorded = fn(*[parameter(x) for x in operands])
+    assert isinstance(recorded, Tensor) and recorded.node.requires_grad
     # bit-equal, signed zeros included
     assert out.shape == recorded.shape and out.tobytes() == recorded.values.tobytes()
     with ad.no_grad():
-        inferred = fn(*[ad.parameter(x) for x in operands])
+        inferred = fn(*[parameter(x) for x in operands])
     assert isinstance(inferred, Tensor)
-    assert not inferred.requires_grad and inferred.parents == ()
+    assert not inferred.node.requires_grad and inferred.node.parents == ()
 
 
 class TestLinear:
@@ -290,7 +292,7 @@ class TestLinear:
         rng = np.random.default_rng(34)
         x0, w0, b0 = rng.normal(size=(2, 5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
         weighting = _rand_weighting((2, 5, 3), 34)
-        x, w, b = ad.parameter(x0), ad.parameter(w0), ad.parameter(b0)
+        x, w, b = parameter(x0), parameter(w0), parameter(b0)
         out = ad.linear(x, w, b)
         ad.backward(weighted_sum(out, weighting))
         x2, g2 = x0.reshape(10, 4), weighting.reshape(10, 3)
@@ -302,10 +304,10 @@ class TestLinear:
             assert got.tobytes() == want.tobytes()
 
     def test_one_node(self):
-        x = ad.parameter(np.ones((2, 3, 4)))
-        out = ad.linear(x, ad.parameter(np.ones((4, 5))), ad.parameter(np.ones(5)))
-        assert out.shape == (2, 3, 5) and out.op == "linear"
-        assert all(p.parents == () for p in out.parents)
+        x = parameter(np.ones((2, 3, 4)))
+        out = ad.linear(x, parameter(np.ones((4, 5))), parameter(np.ones(5)))
+        assert out.shape == (2, 3, 5) and out.node.op == "linear"
+        assert all(p.parents == () for p in out.node.parents)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError, match="linear"):
@@ -360,7 +362,7 @@ class TestAttention:
         rng = np.random.default_rng(43)
         arrays = [rng.normal(size=(2, 5, 8)) for _ in range(3)]
         weighting = _rand_weighting((2, 5, 8), 43)
-        q, k, v = (ad.parameter(a) for a in arrays)
+        q, k, v = (parameter(a) for a in arrays)
         ad.backward(weighted_sum(ad.attention(q, k, v, 4, [0, 5, 10], [0, 5, 10]), weighting))
         for fused, reference in zip((q, k, v), _attention_gradients(*arrays, 4, weighting)):
             np.testing.assert_allclose(fused.grad, reference, rtol=0, atol=1e-13)
@@ -374,9 +376,9 @@ class TestAttention:
             np.testing.assert_allclose(out[a:b], alone, rtol=0, atol=1e-14)
 
     def test_backward_keeps_the_probabilities(self):
-        x = ad.parameter(np.random.default_rng(45).normal(size=(6, 4)))
+        x = parameter(np.random.default_rng(45).normal(size=(6, 4)))
         out = ad.attention(x, x, x, 2, [0, 2, 4, 6], [0, 2, 4, 6])
-        (probs,) = out._backward.probs  # three segments of equal length: one group
+        (probs,) = out.node._backward.probs  # three segments of equal length: one group
         assert probs.shape == (3, 2, 2, 2)
         np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-12)
 
@@ -421,7 +423,7 @@ class TestNtXent:
         rng = np.random.default_rng(41)
         a0, b0 = rng.normal(size=(5, 3)), rng.normal(size=(6, 3))
         (rows, cols), masks = _NT_XENT_PAIRS, _nt_xent_masks(exclude_same_clip=True)
-        a, b = ad.parameter(a0), ad.parameter(b0)
+        a, b = parameter(a0), parameter(b0)
         loss = ad.nt_xent(a, b, 1.0 / 0.3, rows, cols, *masks)
         ad.backward(loss)
         expected = _composed_nt_xent(a0, b0, 1.0 / 0.3, rows, cols, masks)
@@ -447,7 +449,7 @@ class TestNtXent:
 
 class TestTopoOrder:
     def test_parents_before_children(self):
-        x = ad.parameter(np.ones(2))
+        x = parameter(np.ones(2))
         y = ad.relu(x)
         z = weighted_sum(ad.add(y, y), np.ones(2))
         order = ad.topo_order(z)
@@ -457,7 +459,7 @@ class TestTopoOrder:
                 assert pos[id(p)] < pos[id(node)]
 
     def test_each_node_visited_once(self):
-        x = ad.parameter(np.ones(2))
+        x = parameter(np.ones(2))
         y = ad.relu(x)
         z = weighted_sum(ad.add(y, y), np.ones(2))
         order = ad.topo_order(z)

@@ -26,9 +26,9 @@ from motiontok.train import (
     tcn_loss,
     train_tan,
 )
-from testkit import (grad_check, payload_digest, reference_frame_pairs, reference_optimizer_step,
-                     reference_step_gradients, reference_tcc_loss, reference_tcn_loss,
-                     weighted_sum)
+from testkit import (grad_check, parameter, payload_digest, reference_frame_pairs,
+                     reference_optimizer_step, reference_step_gradients, reference_tcc_loss,
+                     reference_tcn_loss, weighted_sum)
 
 TINY_TAN = TanConfig(hidden_dim=16, encoder_layers=1, attention_heads=2,
                      projection_dim=8, sequence_length=12)
@@ -90,7 +90,7 @@ class TestFrameNtXent:
     @pytest.mark.parametrize("mode", [ALL_FRAMES, EXCLUDE_SAME_CLIP])
     def test_value_and_gradients_pinned(self, mode):
         va, vb, corr = _pinned_batch()
-        views = [ad.parameter(v) for v in va + vb]
+        views = [parameter(v) for v in va + vb]
         loss = frame_nt_xent(views[:3], views[3:], corr, mode=mode, tau=0.1)
         ad.backward(loss)
         blob = hashlib.sha256(loss.values.tobytes())
@@ -102,7 +102,7 @@ class TestFrameNtXent:
     def test_blocks_with_lengths_match_the_pins(self, mode):
         # the form train_tan uses: each side's views as one block of rows
         va, vb, corr = _pinned_batch()
-        blocks = [ad.parameter(np.concatenate(side)) for side in (va, vb)]
+        blocks = [parameter(np.concatenate(side)) for side in (va, vb)]
         lengths = tuple([len(v) for v in side] for side in (va, vb))
         loss = frame_nt_xent(*blocks, corr, mode=mode, tau=0.1, lengths=lengths)
         ad.backward(loss)
@@ -223,7 +223,7 @@ class TestFrameNtXent:
                      ad.slice_tensor(v, (slice(4, 7),))]
             return frame_nt_xent(parts, vb, corr, mode=EXCLUDE_SAME_CLIP, tau=0.3)
 
-        x = ad.parameter(rng.normal(size=(7, 5)))
+        x = parameter(rng.normal(size=(7, 5)))
         assert grad_check(f, x, eps=1e-4) < 1e-4
 
 
@@ -304,7 +304,7 @@ class TestTcnLoss:
 
     def test_zero_distance_passes_no_gradient(self):
         # every frame equal: both distances are 0 and every hinge is active
-        v = ad.parameter(np.tile([0.3, -0.7], (10, 1)))
+        v = parameter(np.tile([0.3, -0.7], (10, 1)))
         ad.backward(tcn_loss(v, v, _one_clip(v, v), anchors=3, rng=np.random.default_rng(2)))
         assert np.array_equal(v.grad, np.zeros((10, 2)))
 
@@ -322,7 +322,7 @@ class TestTcnLoss:
             return tcn_loss(t, v_b, _one_clip(t, v_b), anchors=3, rng=np.random.default_rng(7),
                             margin=1.0, pos_window=2, neg_multiplier=2)
 
-        x = ad.parameter(rng_data.normal(size=(14, 4)) * 2.0)
+        x = parameter(rng_data.normal(size=(14, 4)) * 2.0)
         assert grad_check(f, x, eps=1e-5) < 1e-4
 
     @pytest.mark.parametrize("anchors,neg_multiplier", [(16, 4), (3, 2), (30, 7)])
@@ -341,9 +341,10 @@ class TestTcnLoss:
 
     def test_one_node(self):
         va, vb, lengths = _baseline_batch(10, [(12, 9), (20, 26)])
-        loss = tcn_loss(ad.parameter(np.concatenate(va)), ad.parameter(np.concatenate(vb)),
+        loss = tcn_loss(parameter(np.concatenate(va)), parameter(np.concatenate(vb)),
                         lengths, 4, np.random.default_rng(0))
-        assert loss.op == "triplet_margin" and all(p.parents == () for p in loss.parents)
+        assert loss.node.op == "triplet_margin"
+        assert all(p.parents == () for p in loss.node.parents)
 
     def test_lengths_must_cover_the_rows(self):
         va, vb, (len_a, len_b) = _baseline_batch(11, [(12, 9), (20, 26)])
@@ -374,7 +375,7 @@ class TestTccLoss:
         rng = np.random.default_rng(6)
         v_b = Tensor(rng.normal(size=(5, 3)))
         f = lambda t: tcc_loss(t, v_b, ([4], [5]), tau_soft=0.5)
-        x = ad.parameter(rng.normal(size=(4, 3)))
+        x = parameter(rng.normal(size=(4, 3)))
         assert grad_check(f, x, eps=1e-4) < 1e-4
 
     @pytest.mark.parametrize("tau_soft", [0.1, 0.5])
@@ -390,11 +391,11 @@ class TestTccLoss:
     def test_clip_gradients_do_not_mix(self):
         # each clip's rows get the gradient of its own loss over the clip count
         va, vb, lengths = _baseline_batch(13, [(5, 8), (9, 3), (6, 6)])
-        blocks = [ad.parameter(np.concatenate(side)) for side in (va, vb)]
+        blocks = [parameter(np.concatenate(side)) for side in (va, vb)]
         ad.backward(tcc_loss(*blocks, lengths, 0.5))
         lo_a = lo_b = 0
         for a, b in zip(va, vb):
-            alone = [ad.parameter(a), ad.parameter(b)]
+            alone = [parameter(a), parameter(b)]
             ad.backward(tcc_loss(*alone, _one_clip(a, b), 0.5))
             for block, view, lo in zip(blocks, alone, (lo_a, lo_b)):
                 rows = block.grad[lo:lo + view.shape[0]]
@@ -428,6 +429,71 @@ class TestBackwardMemory:
         for p in weights.parameters():
             assert p.grad is not None and p.grad.shape == p.shape
         assert any(np.abs(p.grad).max() > 0 for p in weights.parameters())
+
+    # sha256 prefix of the parameter gradients of _step_loss, per loss kind
+    STEP_GRADS = {"tan": "23e650c9f652f4fa", "tcn": "67845b7a758d612b",
+                  "tcc": "eb4d543e77f1887a"}
+
+    @staticmethod
+    def _step_encode():
+        """(weights, encoder output) of a training step's forward as train_tan
+        packs it: four 16-frame views, two A then two B, through a desk-size
+        encoder (hidden 64, 2 layers, 4 heads)."""
+        weights = init_weights(TanConfig(hidden_dim=64, encoder_layers=2, attention_heads=4,
+                                         projection_dim=32, sequence_length=16),
+                               joints=8, seed=0)
+        x = np.random.default_rng(12).normal(size=(4 * 16, 24))
+        return weights, encode(x, weights, np.arange(5) * 16)
+
+    @staticmethod
+    def _step_loss(loss_kind, weights, z):
+        """The loss_kind loss of _step_encode's output z."""
+        z = project(z, weights)
+        va, vb = ad.slice_tensor(z, (slice(0, 32),)), ad.slice_tensor(z, (slice(32, None),))
+        lengths = ([16, 16], [16, 16])
+        if loss_kind == "tan":
+            return frame_nt_xent(va, vb, [[(i, i) for i in range(16)]] * 2, lengths=lengths)
+        if loss_kind == "tcn":
+            return tcn_loss(va, vb, lengths, 4, np.random.default_rng(0))
+        return tcc_loss(va, vb, lengths)
+
+    @pytest.mark.parametrize("loss_kind", ["tan", "tcn", "tcc"])
+    def test_no_node_holds_values(self, loss_kind):
+        # nodes are graph records only; each closure keeps its parents' nodes
+        # and arrays, never a Tensor with the values it wraps
+        weights, z = self._step_encode()
+        loss = self._step_loss(loss_kind, weights, z)
+        nodes = ad.topo_order(loss)
+        assert len(nodes) > 40 and all(type(n) is ad.Node for n in nodes)
+        assert not any(hasattr(n, "values") for n in nodes)
+        kept = [cell.cell_contents for n in nodes if n._backward is not None
+                for cell in n._backward.__closure__ or ()]
+        assert any(type(c) is ad.Node for c in kept)
+        assert not any(isinstance(c, Tensor) for c in kept)
+        ad.backward(loss)
+        digest = hashlib.sha256(weights.grads.tobytes()).hexdigest()[:16]
+        assert digest == self.STEP_GRADS[loss_kind]
+
+    def test_arrays_no_backward_reads_die_with_encode(self, monkeypatch):
+        # a residual sum feeds only layer_norm, whose backward reads the
+        # normalized rows, not its input; the first sum (embedding plus
+        # positions) is the input the q, k and v projections keep
+        sums, add = [], ad.add
+
+        def watched(a, b):
+            out = add(a, b)
+            sums.append(weakref.ref(out.values))
+            return out
+
+        monkeypatch.setattr(ad, "add", watched)
+        weights, z = self._step_encode()
+        monkeypatch.undo()
+        assert len(sums) == 1 + 2 * 2
+        assert sums[0]() is not None
+        assert [ref() is None for ref in sums[1:]] == [True] * 4
+        ad.backward(self._step_loss("tan", weights, z))
+        digest = hashlib.sha256(weights.grads.tobytes()).hexdigest()[:16]
+        assert digest == self.STEP_GRADS["tan"]
 
     def test_repeated_step_faults_in_no_pages(self):
         # the buffers one step frees serve the next identical step: without

@@ -11,6 +11,7 @@ here rather than in `motiontok`.
 - `IDENTITY_RANGES`: augmentation ranges that leave a clip unchanged.
 - `load_perfbench`: a module of the benchmark harness, imported from its file.
 - `payload_digest`: the sha256 prefix of a container file's bytes after its header line.
+- `parameter`: a leaf tensor that requires grad, with its own zero gradient buffer.
 - `weighted_sum`: sum(x * w) for a constant w as one graph node, the scalar
   the gradient checks differentiate.
 - `reference_step_gradients`: one training step's gradients, computed clip by clip.
@@ -68,18 +69,25 @@ def payload_digest(raw: bytes) -> str:
     return hashlib.sha256(raw.split(b"\n", 1)[1]).hexdigest()[:16]
 
 
+def parameter(values, name: str = "param") -> ad.Tensor:
+    """A float64 copy of values as a leaf that requires grad, accumulating
+    into a zero gradient buffer of its own."""
+    values = np.array(values, dtype=np.float64)
+    return ad.Tensor(values, ad.Node(values.shape, name, grad=np.zeros(values.shape)))
+
+
 def weighted_sum(x, w) -> ad.Tensor:
     """sum(x * w) as one node, w a constant array of x's shape."""
     x = ad.as_tensor(x)
     w = np.asarray(w, dtype=np.float64)
     if w.shape != x.shape:
         raise ad.ShapeError(f"weighted_sum: {x.shape} and {w.shape}")
+    xn = x.node
 
     def bwd(g):
-        if x.requires_grad:
-            ad._accumulate(x, g * w)
+        ad._accumulate(xn, g * w)
 
-    return ad._result((x.values * w).sum(), (x,), "weighted_sum", bwd)
+    return ad._result((x.values * w).sum(), (xn,), "weighted_sum", bwd)
 
 
 def reference_step_gradients(weights, pairs, loss_kind: str, train_config,
@@ -119,7 +127,7 @@ def reference_optimizer_step(weights, state: dict, lr: float, weight_decay: floa
     if total > max_norm:
         scale = max_norm / total
         for p in weights.parameters():
-            p.grad *= scale
+            p.grad[...] *= scale
     state["t"] += 1
     t = state["t"]
     for name, p in weights.tensors.items():
