@@ -1,4 +1,5 @@
-"""Minimal dense-tensor reverse-mode automatic differentiation on float64 numpy arrays.
+"""Minimal dense-tensor reverse-mode automatic differentiation on float32 or
+float64 numpy arrays.
 
 A Tensor is an array and its graph `Node`. Every operation records, on the
 result's node, its parents' nodes and a backward closure; `backward` walks
@@ -15,6 +16,14 @@ same values, by the same numpy operations, as a plain np.ndarray and record
 nothing. Inference runs the encoder that way; Tensor operands give a Tensor,
 under `no_grad` too. Every other op wraps plain-array operands as leaves and
 returns a Tensor.
+
+Dtype: an op computes in its operands' dtype, which must be one, float32 or
+float64 (a Tensor keeps float32 values and stores any other as float64), and
+its values and gradients come out in that dtype. Scalars enter the arithmetic
+as Python floats and per-row weights as arrays cast to the operands' dtype, so
+numpy's value-based casting (numpy 1.x) and NEP 50 (numpy 2) give the same
+result dtypes. Training runs the ops in float32; inference and the gradient
+checks run them in float64.
 
 Memory: a node holds no values, so an op's output lives only as long as a
 Tensor holding it or a backward closure that reads it. Each closure keeps
@@ -123,23 +132,25 @@ def no_grad():
 class Node:
     """The graph record of one op result or leaf: its parents' nodes, the
     backward closure, the gradient buffer, whether a gradient flows to it, the
-    op name and the shape. It holds no values; the closure keeps the arrays
+    op name, and the shape and dtype of its values, which an interior node's
+    gradient buffer takes. It holds no values; the closure keeps the arrays
     its backward reads and nothing else.
 
     A leaf requires grad when it is given a gradient buffer `grad` of its
     shape, which backward accumulates into; an op's node requires grad when it
     has parents, because it is recorded only when a gradient flows to one."""
 
-    __slots__ = ("parents", "_backward", "grad", "requires_grad", "op", "shape")
+    __slots__ = ("parents", "_backward", "grad", "requires_grad", "op", "shape", "dtype")
 
     def __init__(self, shape: tuple[int, ...], op: str = "leaf", parents: tuple = (),
-                 backward=None, grad: np.ndarray | None = None):
+                 backward=None, grad: np.ndarray | None = None, dtype=np.float64):
         self.parents = parents
         self._backward = backward
         self.grad = grad
         self.requires_grad = bool(parents) or grad is not None
         self.op = op
         self.shape = shape
+        self.dtype = dtype
 
     def __repr__(self) -> str:
         return f"Node(op={self.op!r}, shape={self.shape}, requires_grad={self.requires_grad})"
@@ -151,8 +162,8 @@ class Tensor:
     __slots__ = ("values", "node")
 
     def __init__(self, values, node: Node | None = None):
-        self.values = np.asarray(values, dtype=np.float64)
-        self.node = Node(self.values.shape) if node is None else node
+        self.values = _as_values(values)
+        self.node = Node(self.values.shape, dtype=self.values.dtype) if node is None else node
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -168,6 +179,12 @@ class Tensor:
         return f"Tensor({self.node!r})"
 
 
+def _as_values(values) -> np.ndarray:
+    """values as an array: float32 kept, anything else as float64."""
+    values = np.asarray(values)
+    return values if values.dtype == np.float32 else values.astype(np.float64, copy=False)
+
+
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
@@ -175,15 +192,16 @@ def as_tensor(x) -> Tensor:
 def _result(values, parents: tuple[Node, ...], op: str, backward) -> Tensor:
     """values as a Tensor whose node records op over the parent nodes, if
     recording is on and a gradient flows to one of them; else as a leaf."""
+    values = _as_values(values)
     if _grad_enabled() and any(p.requires_grad for p in parents):
-        return Tensor(values, Node(np.shape(values), op, parents, backward))
-    return Tensor(values, Node(np.shape(values), op))
+        return Tensor(values, Node(values.shape, op, parents, backward, dtype=values.dtype))
+    return Tensor(values, Node(values.shape, op, dtype=values.dtype))
 
 
 def _grad_buffer(node: Node) -> np.ndarray:
-    """node's gradient accumulator, allocated as zeros on first use."""
+    """node's gradient accumulator, allocated as zeros of its dtype on first use."""
     if node.grad is None:
-        node.grad = np.zeros(node.shape)
+        node.grad = np.zeros(node.shape, node.dtype)
     return node.grad
 
 
@@ -490,7 +508,7 @@ def nt_xent(a, b, inv_tau: float, anchors, positives, mask_ab, mask_ba) -> Tenso
     inv_tau = float(inv_tau)
     av, bv, an, bn = a.values, b.values, a.node, b.node
     sim = np.matmul(av, np.transpose(bv)) * inv_tau
-    sim_shape, picked = sim.shape, np.arange(p)
+    sim_shape, dtype, picked = sim.shape, sim.dtype, np.arange(p)
 
     def direction(s, rows_idx, cols_idx, mask):
         rows = s[rows_idx]
@@ -505,7 +523,7 @@ def nt_xent(a, b, inv_tau: float, anchors, positives, mask_ab, mask_ba) -> Tenso
 
     def bwd(g):
         scale = g / n
-        g_sim = np.zeros(sim_shape)
+        g_sim = np.zeros(sim_shape, dtype)
         for view, rows, cols, neg_inf, lse in ((g_sim, anchors, positives, neg_ab, lse_ab),
                                                (g_sim.T, positives, anchors, neg_ba, lse_ba)):
             grad = scale * np.exp(neg_inf - lse[:, None])
@@ -550,13 +568,17 @@ def triplet_margin(a, b, anchors, positives, negatives, clips, margin: float) ->
     d_an = np.sqrt((diff_an * diff_an).sum(axis=-1))
     hinge = d_ap[:, None] - d_an + float(margin)
     k = negatives.shape[1]
+    # bincount sums in float64 and the clip weights are integer arrays: the
+    # value and the hinge gradients are cast back to the blocks' dtype
+    dtype = hinge.dtype
     clip_sums = np.bincount(clips, weights=np.maximum(hinge, 0.0).sum(axis=1))
-    value = (clip_sums / (per_clip * k)).mean()
+    value = (clip_sums / (per_clip * k)).mean().astype(dtype)
     an, bn = a.node, b.node
 
     def bwd(g):
         # d value / d hinge for every active (anchor, negative) pair
-        g_hinge = (g / (per_clip.size * k * per_clip))[clips][:, None] * (hinge > 0.0)
+        g_clip = (g / (per_clip.size * k * per_clip)).astype(dtype, copy=False)
+        g_hinge = g_clip[clips][:, None] * (hinge > 0.0)
         inv = lambda d: np.divide(1.0, d, out=np.zeros_like(d), where=d > 0.0)
         g_ap = (g_hinge.sum(axis=1) * inv(d_ap))[:, None] * diff_ap
         g_an = (-g_hinge * inv(d_an))[..., None] * diff_an
@@ -595,9 +617,10 @@ def cycle_back(a, b, lengths_a, lengths_b, temperature: float) -> Tensor:
     scale = -1.0 / float(temperature)
     valid_a = np.arange(len_a.max()) < len_a[:, None]  # (C, Ta): real rows of the padded batch
     valid_b = np.arange(len_b.max()) < len_b[:, None]
-    x = np.zeros(valid_a.shape + (f,))
+    dtype = a.values.dtype
+    x = np.zeros(valid_a.shape + (f,), dtype)
     x[valid_a] = a.values
-    y = np.zeros(valid_b.shape + (f,))
+    y = np.zeros(valid_b.shape + (f,), dtype)
     y[valid_b] = b.values
     swap = lambda t: np.swapaxes(t, 1, 2)
 
@@ -621,11 +644,13 @@ def cycle_back(a, b, lengths_a, lengths_b, temperature: float) -> Tensor:
     lse = m + np.log(np.exp(s2 - m).sum(axis=-1, keepdims=True))  # (C, Ta, 1)
     diag = np.arange(valid_a.shape[1])
     terms = np.where(valid_a, lse[..., 0] - s2[:, diag, diag], 0.0)
-    value = (terms.sum(axis=1) / len_a).mean()
+    # the clip lengths are an integer array: the value and the per-clip
+    # weights are cast back to the blocks' dtype
+    value = (terms.sum(axis=1) / len_a).mean().astype(dtype)
     an, bn = a.node, b.node
 
     def bwd(g):
-        g_terms = (g / (c * len_a))[:, None] * valid_a
+        g_terms = (g / (c * len_a)).astype(dtype, copy=False)[:, None] * valid_a
         g_s2 = g_terms[..., None] * np.exp(s2 - lse)
         g_s2[:, diag, diag] -= g_terms
         g_nn, gx = sq_dist_grads(g_s2 * scale, nn, x)

@@ -45,8 +45,10 @@ class TanWeights:
     """All learnable tensors, keyed by name in init and checkpoint order.
 
     Each tensor's values and gradient are views of the flat buffers `values`
-    and `grads`, which hold the tensors one after another in that order: the
-    optimizer and the checkpoint codec take each buffer whole.
+    and `grads`, which hold the tensors one after another in that order and
+    share one dtype: the optimizer and the checkpoint codec take each buffer
+    whole. Initialized and loaded weights are float64; training runs its
+    forward and backward on a float32 copy (see train.train_tan).
     """
 
     config: TanConfig
@@ -87,16 +89,21 @@ def _weight_shapes(config: TanConfig, joints: int) -> dict[str, tuple[int, ...]]
     return shapes
 
 
-def _bind(config: TanConfig, joints: int, seed: int, values: np.ndarray) -> TanWeights:
-    """TanWeights whose tensors are views of the flat float64 buffer values, in
-    _weight_shapes order, with gradients viewing one fresh zero buffer."""
-    grads = np.zeros(values.shape)  # calloc'd (zeros_like is not): no page touched before use
+def _bind(config: TanConfig, joints: int, seed: int, values: np.ndarray,
+          grads: np.ndarray | None = None) -> TanWeights:
+    """TanWeights whose tensors are views of the flat float32 or float64 buffer
+    values, in _weight_shapes order, with gradients viewing the zero buffer
+    grads of the values' shape and dtype, fresh if None."""
+    if grads is None:
+        # calloc'd (zeros_like is not): no page touched before use
+        grads = np.zeros(values.shape, values.dtype)
     tensors: dict[str, Tensor] = {}
     lo = 0
     for name, shape in _weight_shapes(config, joints).items():
         hi = lo + math.prod(shape)
         tensors[name] = Tensor(values[lo:hi].reshape(shape),
-                               ad.Node(shape, name, grad=grads[lo:hi].reshape(shape)))
+                               ad.Node(shape, name, grad=grads[lo:hi].reshape(shape),
+                                       dtype=values.dtype))
         lo = hi
     return TanWeights(config=config, joints=joints, seed=seed, values=values, grads=grads,
                       tensors=tensors)
@@ -116,9 +123,8 @@ def init_weights(config: TanConfig, joints: int, seed: int) -> TanWeights:
 
 
 def positional_encoding(length: int, dim: int) -> np.ndarray:
-    """Standard sine/cosine position table of shape (length, dim); dim must be even."""
-    if dim % 2 != 0:
-        raise ValueError(f"positional encoding dimension must be even, got {dim}")
+    """Standard sine/cosine position table of shape (length, dim), float64;
+    dim is even (TanConfig checks hidden_dim)."""
     pos = np.arange(length, dtype=np.float64).reshape(-1, 1)
     i = np.arange(dim // 2, dtype=np.float64)
     angles = pos / np.power(10000.0, 2.0 * i / dim)
@@ -166,10 +172,12 @@ def encode(x, w: TanWeights, offsets=None) -> Tensor:
     once over all rows; each view's rows get the positions 0, 1, ... of its
     own and attend within the view only, so a row comes out as if its view
     were encoded alone. The temporal resolution of the output matches the
-    input exactly.
+    input exactly. Array rows and the positions are cast to the weights'
+    dtype, so the encoder computes in it.
     """
+    dtype = w.values.dtype
     if not isinstance(x, Tensor):
-        x = Tensor(np.asarray(x, dtype=np.float64))
+        x = Tensor(np.asarray(x, dtype=dtype))
     batch = None
     if offsets is None:
         if x.values.ndim == 2:
@@ -189,7 +197,8 @@ def encode(x, w: TanWeights, offsets=None) -> Tensor:
     t = w.tensors
     h = _mlp(x, t, "embed")
     slot = np.arange(x.shape[0]) - np.repeat(starts, lengths)
-    h = ad.add(h, Tensor(positional_encoding(int(lengths.max()), w.config.hidden_dim)[slot]))
+    pe = positional_encoding(int(lengths.max()), w.config.hidden_dim).astype(dtype, copy=False)
+    h = ad.add(h, Tensor(pe[slot]))
     for i in range(w.config.encoder_layers):
         q, k, v = (_dense(h, t, f"enc{i}.attn.{c}") for c in "qkv")
         h = _layer(h, q, k, v, t, i, w.config.attention_heads, offsets, offsets)

@@ -8,6 +8,7 @@ or only frames from other clips.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .augment import AugmentRanges, _round_half_up, make_view_pair
 from .data import LabeledCorpus, SkeletonSequence
-from .tan import TanConfig, TanWeights, encode, init_weights, project
+from .tan import TanConfig, TanWeights, _bind, encode, init_weights, project
 
 ALL_FRAMES = "all_frames"
 EXCLUDE_SAME_CLIP = "exclude_same_clip"
@@ -114,8 +115,6 @@ def frame_nt_xent(v_a, v_b, correspondences: list[list[tuple[int, int]]],
         len_a, len_b = _view_lengths(big_a, big_b, lengths)
     if len(len_a) != len(len_b) or len(len_a) != len(correspondences):
         raise ValueError("views and correspondences must agree in clip count")
-    if not tau > 0:
-        raise ValueError("temperature must be positive")
     off_a, off_b = np.cumsum(len_a) - len_a, np.cumsum(len_b) - len_b
     clip_of_a = np.repeat(np.arange(len(len_a)), len_a)
     clip_of_b = np.repeat(np.arange(len(len_b)), len_b)
@@ -145,18 +144,19 @@ def lr_at(step: int, config: TrainConfig, steps_per_epoch: int = 1) -> float:
 
 # --- optimizer -----------------------------------------------------------------
 
-# Elements per block of the optimizer pass. Its five block arrays (values,
-# gradients, both moments, one scratch) then take 1.25 MiB and stay in cache
-# from one ufunc to the next. At the paper encoder's size (6.9M parameters,
-# one core of a 2-CPU Xeon with 4 MiB L2), clip_gradients + adam_step took
-# 84/81/75/85/93/113 ms at blocks of 8k/16k/32k/64k/128k/256k elements and
-# 156 ms as one block (medians of 45 steps, with a second scratch array).
+# Elements per block of the optimizer pass. Its block arrays (master values,
+# compute values and gradients, both moments, two float64 scratch arrays) then
+# take at most 1.5 MiB and stay in cache from one ufunc to the next. At the
+# paper encoder's size (6.9M parameters, one core of a 2-CPU Xeon with 4 MiB
+# L2), clip_gradients + adam_step took 84/81/75/85/93/113 ms at blocks of
+# 8k/16k/32k/64k/128k/256k elements and 156 ms as one block (medians of 45
+# steps, float64 gradients, two scratch arrays).
 _BLOCK = 1 << 15
 
 
 @dataclass
 class AdamState:
-    """Step count and Adam's two moments, flat in the layout of
+    """Step count and Adam's two float64 moments, flat in the layout of
     TanWeights.values; the first step allocates the moments."""
 
     m: np.ndarray | None = None
@@ -166,37 +166,47 @@ class AdamState:
 
 def clip_gradients(weights: TanWeights, max_norm: float) -> tuple[float, float]:
     """The global L2 norm of all gradients, and the factor that scales it
-    down to max_norm (1.0 if it is within). adam_step applies the factor, so
-    the gradients are left as they are."""
-    total = np.sqrt(sum(float((p.grad ** 2).sum()) for p in weights.parameters()))
+    down to max_norm (1.0 if it is within). The norm is one pass over
+    _BLOCK-element blocks of the flat gradient buffer, each block upcast into
+    float64 scratch and its squares summed there, so the factor comes from a
+    float64 sum whatever the gradients' dtype. adam_step applies the factor,
+    so the gradients are left as they are."""
+    grads = weights.grads
+    scratch = np.empty(min(_BLOCK, grads.size))
+    total = 0.0
+    for lo in range(0, grads.size, _BLOCK):
+        g = scratch[:min(_BLOCK, grads.size - lo)]
+        np.copyto(g, grads[lo:lo + _BLOCK])
+        total += float(np.dot(g, g))
+    total = math.sqrt(total)
     return total, (max_norm / total if total > max_norm else 1.0)
 
 
-def adam_step(weights: TanWeights, state: AdamState, lr: float, weight_decay: float,
-              grad_scale: float) -> None:
-    """One Adam step on the gradients times grad_scale, as one pass over
-    _BLOCK-element blocks of the flat buffers. Each block's gradients are
-    scaled, its moments and values stepped in place (the operations and their
-    order are those of the per-tensor update m += (1 - b1) (g - m),
-    v += (1 - b2) (g^2 - v), p -= lr (m_hat / (sqrt(v_hat) + eps) + wd p)),
-    its new values checked and its gradients zeroed for the next backward.
-    Once the second moment is stepped the gradient block is not read again,
-    so it serves as the second scratch array until it is zeroed. Raises
+def adam_step(master: TanWeights, compute: TanWeights, state: AdamState, lr: float,
+              weight_decay: float, grad_scale: float) -> None:
+    """One Adam step of the float64 master weights on compute's gradients
+    times grad_scale, as one pass over _BLOCK-element blocks of the flat
+    buffers. Each block's gradients are upcast into float64 scratch and
+    scaled, its moments and master values stepped in place in float64 (the
+    operations and their order are those of the per-tensor update
+    m += (1 - b1) (g - m), v += (1 - b2) (g^2 - v),
+    p -= lr (m_hat / (sqrt(v_hat) + eps) + wd p)), its new values checked and
+    written into compute's values in their dtype, and compute's gradients
+    zeroed for the next backward. compute may be master itself. Raises
     RuntimeError after the pass if a new value is not finite, naming the step
     from 0 as train_tan counts them."""
     if state.m is None:
-        state.m, state.v = np.zeros(weights.values.shape), np.zeros(weights.values.shape)
+        state.m, state.v = np.zeros(master.values.shape), np.zeros(master.values.shape)
     state.t += 1
     c1, c2 = 1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2
     bc1, bc2 = 1.0 - ADAM_BETA1 ** state.t, 1.0 - ADAM_BETA2 ** state.t
-    scratch = np.empty(_BLOCK)
+    scratch = np.empty((2, _BLOCK))
     finite = True
-    for lo in range(0, weights.values.size, _BLOCK):
+    for lo in range(0, master.values.size, _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        p, g, m, v = weights.values[block], weights.grads[block], state.m[block], state.v[block]
-        a = scratch[:p.size]
-        if grad_scale != 1.0:
-            g *= grad_scale
+        p, m, v = master.values[block], state.m[block], state.v[block]
+        a, g = scratch[0, :p.size], scratch[1, :p.size]
+        np.multiply(compute.grads[block], grad_scale, out=g, dtype=np.float64)
         np.subtract(g, m, out=a)
         a *= c1
         m += a
@@ -214,7 +224,8 @@ def adam_step(weights: TanWeights, state: AdamState, lr: float, weight_decay: fl
         a *= lr
         p -= a
         finite &= bool(np.isfinite(p).all())
-        g.fill(0.0)
+        np.copyto(compute.values[block], p)
+        compute.grads[block].fill(0.0)
     if not finite:
         raise RuntimeError(f"non-finite weights after step {state.t - 1}")
 
@@ -318,8 +329,10 @@ def train_tan(corpus: LabeledCorpus, tan_config: TanConfig, train_config: TrainC
     """Train the encoder+projection on random crops of the corpus.
 
     loss_kind selects the objective: "tan" (frame-wise contrastive), "tcn"
-    (triplet baseline), or "tcc" (cycle-back baseline). Deterministic for a
-    fixed seed under single-threaded execution.
+    (triplet baseline), or "tcc" (cycle-back baseline). The forward and
+    backward compute in float32; the master weights, which are returned, and
+    Adam's moments stay float64 (mixed precision, Micikevicius et al. 2018).
+    Deterministic for a fixed seed under single-threaded execution.
     """
     if loss_kind not in ("tan", "tcn", "tcc"):
         raise ValueError(f"unknown loss_kind {loss_kind!r}")
@@ -347,6 +360,18 @@ def train_tan(corpus: LabeledCorpus, tan_config: TanConfig, train_config: TrainC
         raise ValueError(f"a {t_crop}-frame crop can yield a {shortest}-frame view; "
                          f"tcn needs views of >= {2 * TCN_POS_WINDOW + 2} frames")
     weights = init_weights(tan_config, usable[0].joints, train_config.seed)
+    # every step's forward and backward run in float32 on this copy of the
+    # float64 master weights; adam_step steps the master and writes it back.
+    # The copy's values and gradients are the two halves of one block, as
+    # large as a float64 buffer, so glibc maps it apart from the heap like the
+    # master's buffers. As two half-size blocks they came from the heap, and
+    # once freed, the stages after training reused their pages and kept them
+    # resident: wide peak_rss_mb read 331 MB instead of 276 in 60 s perfbench
+    # runs (2-CPU host)
+    n = weights.values.size
+    block = np.zeros(2 * n, np.float32)
+    block[:n] = weights.values
+    compute = _bind(tan_config, weights.joints, weights.seed, block[:n], block[n:])
     state = AdamState()
     history: list[EpochStats] = []
     global_step = 0
@@ -365,7 +390,7 @@ def train_tan(corpus: LabeledCorpus, tan_config: TanConfig, train_config: TrainC
             # one packed forward: all A views, then all B views, as rows of one matrix
             views = [p.view_a.flat() for p in pairs] + [p.view_b.flat() for p in pairs]
             offsets = np.cumsum([0] + [len(v) for v in views])
-            z = project(encode(np.concatenate(views), weights, offsets), weights)
+            z = project(encode(np.concatenate(views), compute, offsets), compute)
             # every loss takes the A and B blocks whole: their rows are the clips' views in order
             n_clips = len(pairs)
             va = ad.slice_tensor(z, (slice(0, offsets[n_clips]),))
@@ -384,13 +409,13 @@ def train_tan(corpus: LabeledCorpus, tan_config: TanConfig, train_config: TrainC
             lr = lr_at(global_step, train_config, steps_per_epoch)
             # the gradients are zero here: adam_step zeroes them as it reads them
             ad.backward(loss)
-            gnorm, scale = clip_gradients(weights, GRAD_CLIP_NORM)
+            gnorm, scale = clip_gradients(compute, GRAD_CLIP_NORM)
             if not (np.isfinite(loss.values) and np.isfinite(gnorm)):
                 raise RuntimeError(
                     f"non-finite loss at step {global_step} (lr={lr:.3e}, "
                     f"grad_norm={gnorm:.3e})"
                 )
-            adam_step(weights, state, lr, WEIGHT_DECAY, scale)
+            adam_step(weights, compute, state, lr, WEIGHT_DECAY, scale)
             losses.append(float(loss.values))
             gnorms.append(gnorm)
             global_step += 1

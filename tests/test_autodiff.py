@@ -171,16 +171,17 @@ _TCN_LENGTHS = ([9, 12], [14, 7])
 _TCC_LENGTHS = ([3, 5, 1], [4, 2, 3])
 
 
-def _catalog_cases():
+def _catalog_cases(dtype=np.float64):
     """(name, f, shape, kink) per op case: f maps a parameter x of `shape` to
     a scalar through the op, and kink, if set, keeps x's entries that far
     from a point where the op is not smooth. Each op of autodiff has cases
-    named after it."""
-    w = _rand_weighting
+    named after it. The constant operands are in dtype, x's dtype."""
+    w = lambda shape, seed: _rand_weighting(shape, seed).astype(dtype)
     tcn = lambda a, b: train.tcn_loss(a, b, _TCN_LENGTHS, anchors=4,
                                       rng=np.random.default_rng(44), margin=1.0)
     return [
-        ("add", lambda x: weighted_sum(ad.add(x, np.ones(x.shape)), w(x.shape, 1)), (3, 4), None),
+        ("add", lambda x: weighted_sum(ad.add(x, np.ones(x.shape, dtype)), w(x.shape, 1)), (3, 4),
+         None),
         ("concat", lambda x: weighted_sum(ad.concat([x, ad.add(x, x)], axis=0), w((6, 3), 8)),
          (3, 3), None),
         ("slice_tensor", lambda x: weighted_sum(
@@ -188,7 +189,7 @@ def _catalog_cases():
         ("reshape", lambda x: weighted_sum(ad.reshape(x, (2, 6)), w((2, 6), 12)), (3, 4), None),
         ("relu", lambda x: weighted_sum(ad.relu(x), w(x.shape, 16)), (4, 4), 1e-3),
         ("layer_norm", lambda x: weighted_sum(ad.layer_norm(
-            x, np.full(5, 1.3), np.full(5, -0.2)), w((3, 5), 18)), (3, 5), None),
+            x, np.full(5, 1.3, dtype), np.full(5, -0.2, dtype)), w((3, 5), 18)), (3, 5), None),
         ("l2_normalize", lambda x: weighted_sum(ad.l2_normalize(x), w(x.shape, 21)), (3, 4), None),
         ("nt_xent_all_frames", lambda x: ad.nt_xent(
             x, w((6, 3), 41), 1.5, *_NT_XENT_PAIRS, *_nt_xent_masks(exclude_same_clip=False)),
@@ -228,6 +229,41 @@ def _catalog_cases():
 def test_catalog_op_grad_check(name, fn, shape, kink):
     x = _param(shape, seed=zlib.crc32(name.encode()), avoid_kink=kink)
     assert grad_check(fn, x, eps=1e-4) < 1e-4
+
+
+def _relative_gap(a, b) -> float:
+    """max |a - b| relative to b's largest magnitude."""
+    return float(np.abs(np.asarray(a, np.float64) - b).max() / max(np.abs(b).max(), 1e-30))
+
+
+@pytest.mark.parametrize("case32,case64", zip(_catalog_cases(np.float32), _catalog_cases()),
+                         ids=[c[0] for c in _catalog_cases()])
+def test_catalog_op_float32(monkeypatch, case32, case64):
+    # the op on float32 operands computes in float32 (every node value, every
+    # gradient flowing into a buffer) and agrees with the float64 op on the
+    # same inputs to float32 rounding
+    name, fn, shape, kink = case32
+    x64 = _param(shape, seed=zlib.crc32(name.encode()), avoid_kink=kink)
+    x32 = parameter(x64.values, dtype=np.float32)
+    flowing, accumulate = set(), ad._accumulate
+
+    def recording(node, g):
+        if isinstance(g, np.ndarray):
+            flowing.add(g.dtype)
+        accumulate(node, g)
+
+    monkeypatch.setattr(ad, "_accumulate", recording)
+    out32 = fn(x32)
+    nodes = {n.dtype for n in ad.topo_order(out32)}
+    ad.backward(out32)
+    monkeypatch.undo()
+    out64 = case64[1](x64)
+    ad.backward(out64)
+    # triplet_margin scatters its gradients with np.add.at, not _accumulate
+    assert nodes == {np.dtype(np.float32)} and flowing <= nodes
+    assert out32.values.dtype == x32.grad.dtype == np.float32
+    assert _relative_gap(out32.values, out64.values) < 1e-5
+    assert _relative_gap(x32.grad, x64.grad) < 1e-5
 
 
 OPS = ("add", "relu", "linear", "reshape", "concat", "slice_tensor", "attention", "layer_norm",

@@ -88,10 +88,6 @@ class TestPositionalEncoding:
         pe = positional_encoding(50, 16)
         assert pe.min() >= -1.0 and pe.max() <= 1.0
 
-    def test_odd_dim_rejected(self):
-        with pytest.raises(ValueError):
-            positional_encoding(4, 5)
-
 
 class TestEncode:
     @pytest.mark.parametrize("t", [1, 7, 64])
@@ -255,7 +251,7 @@ class TestCheckpoints:
                 v = project(encode(x, weights), weights)
                 ad.backward(weighted_sum(v, weighting))
                 grads.append(weights.grads.copy())
-                adam_step(weights, state, 1e-2, 1e-6, clip_gradients(weights, 0.5)[1])
+                adam_step(weights, weights, state, 1e-2, 1e-6, clip_gradients(weights, 0.5)[1])
         for name in w.tensors:
             assert np.array_equal(back.tensors[name].values, w.tensors[name].values)
         assert all(np.array_equal(g, h) for g, h in zip(grads[:3], grads[3:]))

@@ -15,9 +15,11 @@ here rather than in `motiontok`.
 - `weighted_sum`: sum(x * w) for a constant w as one graph node, the scalar
   the gradient checks differentiate.
 - `reference_step_gradients`: one training step's gradients, computed clip by clip.
-- `reference_optimizer_step`: the per-tensor gradient clipping and Adam step
-  that the blocked pass of `train.clip_gradients` + `train.adam_step`
-  replaced; the pass is held to it bit for bit.
+- `reference_optimizer_step`: the per-tensor gradient scaling and Adam step
+  that the blocked pass of `train.adam_step` replaced; the pass is held to it
+  bit for bit.
+- `reference_train_tan`: the training loop as it ran in float64, the
+  reference the float32 loop of `train.train_tan` is held to.
 - `reference_tcn_loss`, `reference_tcc_loss`: one clip's TCN and TCC losses
   in numpy, the forward references of the fused `train.tcn_loss` and
   `train.tcc_loss`.
@@ -47,7 +49,7 @@ from motiontok.apps import BACKGROUND_CLASS, Detection, nms
 from motiontok.augment import AugmentRanges
 from motiontok.data import SkeletonSequence, center_normalize_frames
 from motiontok.metrics import entropy_table
-from motiontok.tan import encode, project
+from motiontok.tan import encode, init_weights, project
 
 IDENTITY_RANGES = AugmentRanges(translation_range=0.0, rotation_range_deg=0.0, speed_max=1.0)
 
@@ -69,17 +71,18 @@ def payload_digest(raw: bytes) -> str:
     return hashlib.sha256(raw.split(b"\n", 1)[1]).hexdigest()[:16]
 
 
-def parameter(values, name: str = "param") -> ad.Tensor:
-    """A float64 copy of values as a leaf that requires grad, accumulating
+def parameter(values, name: str = "param", dtype=np.float64) -> ad.Tensor:
+    """A copy of values in dtype as a leaf that requires grad, accumulating
     into a zero gradient buffer of its own."""
-    values = np.array(values, dtype=np.float64)
-    return ad.Tensor(values, ad.Node(values.shape, name, grad=np.zeros(values.shape)))
+    values = np.array(values, dtype=dtype)
+    return ad.Tensor(values, ad.Node(values.shape, name, grad=np.zeros(values.shape, dtype),
+                                     dtype=values.dtype))
 
 
 def weighted_sum(x, w) -> ad.Tensor:
-    """sum(x * w) as one node, w a constant array of x's shape."""
+    """sum(x * w) as one node, w a constant array of x's shape, cast to x's dtype."""
     x = ad.as_tensor(x)
-    w = np.asarray(w, dtype=np.float64)
+    w = np.asarray(w, dtype=x.values.dtype)
     if w.shape != x.shape:
         raise ad.ShapeError(f"weighted_sum: {x.shape} and {w.shape}")
     xn = x.node
@@ -116,18 +119,16 @@ def reference_step_gradients(weights, pairs, loss_kind: str, train_config,
 
 
 def reference_optimizer_step(weights, state: dict, lr: float, weight_decay: float,
-                             max_norm: float) -> float:
-    """One clipped Adam step tensor by tensor, as `train_tan` took it before
-    the optimizer became one blocked pass over flat buffers: scale every
-    gradient in place so the global L2 norm is at most max_norm, then step
-    each tensor with its own moments, state = {"m": {}, "v": {}, "t": 0} keyed
-    by tensor name. Returns the unclipped norm; the gradients stay scaled."""
+                             grad_scale: float) -> None:
+    """One Adam step tensor by tensor, as `train_tan` took it before the
+    optimizer became one blocked pass over flat buffers: scale every gradient
+    in place by grad_scale (the clip factor), then step each tensor with its
+    own moments, state = {"m": {}, "v": {}, "t": 0} keyed by tensor name. The
+    gradients stay scaled."""
     from motiontok import train
-    total = np.sqrt(sum(float((p.grad ** 2).sum()) for p in weights.parameters()))
-    if total > max_norm:
-        scale = max_norm / total
+    if grad_scale != 1.0:
         for p in weights.parameters():
-            p.grad[...] *= scale
+            p.grad[...] *= grad_scale
     state["t"] += 1
     t = state["t"]
     for name, p in weights.tensors.items():
@@ -139,7 +140,57 @@ def reference_optimizer_step(weights, state: dict, lr: float, weight_decay: floa
         m_hat = m / (1.0 - train.ADAM_BETA1 ** t)
         v_hat = v / (1.0 - train.ADAM_BETA2 ** t)
         p.values -= lr * (m_hat / (np.sqrt(v_hat) + train.ADAM_EPS) + weight_decay * p.values)
-    return total
+
+
+def reference_train_tan(corpus, tan_config, train_config, loss_kind: str = "tan",
+                        ranges: AugmentRanges | None = None):
+    """(weights, history) of `train.train_tan` as it ran before training
+    computed in float32: the same crops, views, losses, schedule, clipping
+    and Adam, with every step's forward and backward in float64 on the
+    master weights themselves. train_tan's up-front checks are left out."""
+    from motiontok import train
+    ranges = AugmentRanges() if ranges is None else ranges
+    t_crop = train_config.frames
+    usable = [s for s in corpus.sequences if s.frames >= t_crop]
+    steps_per_epoch = max(1, int(np.ceil(len(usable) / train_config.batch_size)))
+    weights = init_weights(tan_config, usable[0].joints, train_config.seed)
+    state, history, global_step = train.AdamState(), [], 0
+    for epoch in range(train_config.epochs):
+        order_rng = np.random.default_rng(np.random.SeedSequence([train_config.seed, 23, epoch]))
+        batches = np.array_split(order_rng.permutation(len(usable)), steps_per_epoch)
+        losses, gnorms = [], []
+        for step_in_epoch, batch in enumerate(batches):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([train_config.seed, 31, epoch, step_in_epoch]))
+            pairs = [train.make_view_pair(train._crop(usable[i], t_crop, rng), rng, ranges)
+                     for i in batch]
+            views = [p.view_a.flat() for p in pairs] + [p.view_b.flat() for p in pairs]
+            offsets = np.cumsum([0] + [len(v) for v in views])
+            z = project(encode(np.concatenate(views), weights, offsets), weights)
+            n_clips = len(pairs)
+            va = ad.slice_tensor(z, (slice(0, offsets[n_clips]),))
+            vb = ad.slice_tensor(z, (slice(offsets[n_clips], None),))
+            lengths = np.diff(offsets)
+            lengths = (lengths[:n_clips], lengths[n_clips:])
+            if loss_kind == "tan":
+                loss = train.frame_nt_xent(va, vb, [p.correspondences for p in pairs],
+                                           mode=train_config.negative_mode,
+                                           tau=train_config.temperature, lengths=lengths)
+            elif loss_kind == "tcn":
+                loss = train.tcn_loss(va, vb, lengths, train.TCN_ANCHORS, rng)
+            else:
+                loss = train.tcc_loss(va, vb, lengths)
+            lr = train.lr_at(global_step, train_config, steps_per_epoch)
+            ad.backward(loss)
+            gnorm, scale = train.clip_gradients(weights, train.GRAD_CLIP_NORM)
+            train.adam_step(weights, weights, state, lr, train.WEIGHT_DECAY, scale)
+            losses.append(float(loss.values))
+            gnorms.append(gnorm)
+            global_step += 1
+        history.append(train.EpochStats(epoch=epoch, mean_loss=float(np.mean(losses)), lr=lr,
+                                        mean_grad_norm=float(np.mean(gnorms)),
+                                        max_grad_norm=float(np.max(gnorms))))
+    return weights, history
 
 
 def reference_tcn_loss(v_a: np.ndarray, v_b: np.ndarray, anchors: int,
