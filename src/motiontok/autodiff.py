@@ -76,12 +76,14 @@ def _keep_heap_mapped() -> bool:
     By default glibc adapts both thresholds to the sizes freed so far, returns
     the heap's free top to the system once it passes the trim threshold, and
     serves blocks above the mmap threshold from fresh mappings. A training
-    step frees tens of MB of graph buffers at its end and allocates them again
-    in the next step, so every step faulted those pages in anew (10k to 24k
-    minor faults per desk-size step, a count that also differed between
-    processes running identical steps). With fixed thresholds the heap keeps
-    its pages and a repeated step faults none in; `release_free_heap` hands
-    them back once a training run ends. Blocks above 32 MB are still mapped
+    step frees its buffers at its end and allocates them again in the next
+    step, so steps fault those pages in anew. Over the desk benchmark's
+    training runs (6 steps each) that was about 2,000 minor faults per step
+    with glibc's adaptive thresholds, 10,700 with MALLOC_TRIM_THRESHOLD_=131072
+    and 330 with these fixed ones, which run desk training at 32 steps/s
+    against 26 and 12. With fixed thresholds the heap keeps its pages and a
+    repeated step faults none in; `release_free_heap` hands them back once a
+    training run ends. Blocks above 32 MB are still mapped
     and unmapped one by one. Left alone when the MALLOC_TRIM_THRESHOLD_ or
     MALLOC_MMAP_THRESHOLD_ environment variable sets them, and where the C
     library has no mallopt.

@@ -366,7 +366,7 @@ def cmd_build_lexicon(config: PipelineConfig, corpus_dir: Path, ckpt: Path,
     corpus = load_corpus(corpus_dir)
     train_split, _ = split_corpus(corpus, config.metrics.eval_fraction)
     weights = load_checkpoint(ckpt)
-    lex = build_lexicon(train_split, weights, config.lexicon.k,
+    lex = build_lexicon(train_split, weights, config.lexicon.k, threads=config.threads,
                         **_lexicon_settings(config, checkpoint_digest(ckpt)))
     save_lexicon(lex, out_lex)
     return out_lex
@@ -480,7 +480,7 @@ def cmd_sweep_k(config: PipelineConfig, corpus_dir: Path, ckpt: Path,
     weights = load_checkpoint(ckpt)
     settings = _lexicon_settings(config, checkpoint_digest(ckpt))
     # embed each split once; every K clusters and tokenizes the same features
-    view = dict(space=settings["space"], window=settings["window"])
+    view = dict(space=settings["space"], window=settings["window"], threads=config.threads)
     train_points = np.concatenate(corpus_features(train_split, weights, **view))
     eval_features = corpus_features(eval_split, weights, **view)
     rows = []

@@ -199,49 +199,51 @@ def tokenize_features(features: np.ndarray, lexicon: Lexicon,
     return segment(labels), labels
 
 
-def tokenize_corpus(corpus: LabeledCorpus, weights: TanWeights, lexicon: Lexicon,
-                    threads: int = 1) -> tuple[list[TokenStream], list[np.ndarray]]:
-    """Encode, project, assign, and segment every sequence of a corpus.
+def corpus_features(corpus: LabeledCorpus, weights: TanWeights, space: str = "projection",
+                    window: int | None = None, threads: int = 1) -> list[np.ndarray]:
+    """Frame embeddings of every sequence of a corpus, one (T, F) matrix each,
+    in corpus order.
 
-    Features are computed in the space and context window the lexicon was
-    built with (recorded in its metadata). threads > 1 fans the sequences out
-    across a thread pool; results keep the corpus order, so the output is
-    identical at any thread count. Workers overlap inside numpy's native code;
-    each should run single-threaded BLAS (OPENBLAS_NUM_THREADS=1), or they
-    compete for cores."""
-    space = lexicon.metadata.get("feature_space", "projection")
-    window = lexicon.metadata.get("context_window")
-
-    def tokenize_one(seq):
-        return tokenize_features(embed_sequence(seq, weights, space=space, window=window),
-                                 lexicon)
+    This is the one loop that embeds a corpus, and it owns the thread pool:
+    threads > 1 maps the sequences over a ThreadPoolExecutor, which keeps
+    the corpus order, so the output is identical at any thread count. Workers
+    overlap inside numpy's native code; each should run single-threaded BLAS
+    (OPENBLAS_NUM_THREADS=1), or they compete for cores."""
+    def embed(seq):
+        return embed_sequence(seq, weights, space=space, window=window)
 
     if threads <= 1:
-        results = [tokenize_one(seq) for seq in corpus.sequences]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(tokenize_one, corpus.sequences))
+        return [embed(seq) for seq in corpus.sequences]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(embed, corpus.sequences))
+
+
+def tokenize_corpus(corpus: LabeledCorpus, weights: TanWeights, lexicon: Lexicon,
+                    threads: int = 1) -> tuple[list[TokenStream], list[np.ndarray]]:
+    """Embed, assign and segment every sequence of a corpus, in the space and
+    context window the lexicon was built with (recorded in its metadata).
+
+    corpus_features embeds and owns the thread pool that `threads` sizes;
+    assignment and segmentation then run on the calling thread."""
+    meta = lexicon.metadata
+    features = corpus_features(corpus, weights, meta.get("feature_space", "projection"),
+                               meta.get("context_window"), threads)
+    results = [tokenize_features(f, lexicon) for f in features]
     return [stream for stream, _ in results], [labels for _, labels in results]
-
-
-def corpus_features(corpus: LabeledCorpus, weights: TanWeights, space: str = "projection",
-                    window: int | None = None) -> list[np.ndarray]:
-    """Frame embeddings of every sequence of a corpus, one (T, F) matrix each."""
-    return [embed_sequence(seq, weights, space=space, window=window)
-            for seq in corpus.sequences]
 
 
 def build_lexicon(corpus: LabeledCorpus, weights: TanWeights, k: int, seed: int = 0,
                   space: str = "projection", checkpoint_digest: str | None = None,
                   max_iters: int = 300, tol: float = 1e-6,
-                  window: int | None = None) -> Lexicon:
+                  window: int | None = None, threads: int = 1) -> Lexicon:
     """Cluster all frame features of a training corpus into a K-word lexicon.
 
     window (typically the encoder's training length) bounds the temporal
     context each frame is embedded in; it is recorded in the lexicon metadata
-    so assignment at tokenize time uses identical features.
+    so assignment at tokenize time uses identical features. threads only
+    fans the embedding out (corpus_features); the lexicon does not depend on it.
     """
-    points = np.concatenate(corpus_features(corpus, weights, space=space, window=window))
+    points = np.concatenate(corpus_features(corpus, weights, space, window, threads))
     return cluster_features(points, k, seed=seed, space=space,
                             checkpoint_digest=checkpoint_digest, max_iters=max_iters,
                             tol=tol, window=window)

@@ -58,12 +58,6 @@ class TanWeights:
     grads: np.ndarray
     tensors: dict[str, Tensor]
 
-    def parameters(self) -> list[Tensor]:
-        return list(self.tensors.values())
-
-    def zero_grad(self) -> None:
-        self.grads.fill(0.0)
-
 
 def _weight_shapes(config: TanConfig, joints: int) -> dict[str, tuple[int, ...]]:
     """Name and shape of every learnable tensor, in init and checkpoint order.

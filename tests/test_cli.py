@@ -358,6 +358,31 @@ class TestCommands:
         out2 = cmd_tokenize(threaded, corpus_dir, ckpt, lex, root / "t2.tsv")
         assert out1.read_text() == out2.read_text()
 
+    @pytest.mark.parametrize("command,pools", [(cmd_build_lexicon, [2]),
+                                               (cmd_sweep_k, [2, 2])],
+                             ids=["build-lexicon", "sweep-k"])
+    def test_threads_reach_lexicon_and_sweep(self, pipeline, tmp_path, monkeypatch,
+                                             command, pools):
+        # the lexicon bytes and the sweep TSV bytes at 1 and 2 workers; at 2
+        # every split is embedded on a pool of 2 (train split, then eval)
+        config, corpus_dir, ckpt, _, _ = pipeline
+        import dataclasses
+        made = []
+
+        class Recorded(lexicon_module.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                made.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(lexicon_module, "ThreadPoolExecutor", Recorded)
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"threads{threads}.out"
+            command(dataclasses.replace(config, threads=threads), corpus_dir, ckpt, out)
+            outputs.append(out.read_bytes())
+        assert made == pools
+        assert outputs[0] == outputs[1]
+
     def test_detect_writes_scored_rows(self, pipeline):
         config, corpus_dir, ckpt, lex, root = pipeline
         score = cmd_detect(config, corpus_dir, ckpt, lex, root / "dets.tsv")
@@ -668,3 +693,28 @@ class TestCliProcess:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "corpus" / "labels.json").exists()
+
+
+def test_cli_chain_manifest_diff(tmp_path, capsys):
+    import importlib.util
+    path = Path(__file__).resolve().parent.parent / "tools" / "cli_chain.py"
+    spec = importlib.util.spec_from_file_location("cli_chain", path)
+    chain = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(chain)
+    for side, files in (("a", {"x/eval/config.json": b"1", "x/tokens.tsv": b"t"}),
+                        ("b", {"x/eval/config.json": b"2", "x/tokens.tsv": b"t"}),
+                        ("c", {"x/eval/config.json": b"1", "x/tokens.tsv": b"u"}),
+                        ("d", {"x/eval/config.json": b"1"})):
+        for name, data in files.items():
+            (tmp_path / side / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / side / name).write_bytes(data)
+        chain.write_manifest(tmp_path / side)
+    m = {side: tmp_path / side / "manifest.sha256" for side in "abcd"}
+    allow = ["*/eval/config.json"]
+    assert chain.diff_manifests(m["a"], m["a"], []) == 0
+    assert chain.diff_manifests(m["a"], m["b"], []) == 1
+    assert chain.diff_manifests(m["a"], m["b"], allow) == 0
+    assert chain.diff_manifests(m["a"], m["c"], allow) == 1  # tokens differ
+    assert chain.diff_manifests(m["a"], m["d"], allow) == 1  # tokens missing on one side
+    out = capsys.readouterr().out
+    assert "x/eval/config.json: differs (allowed)" in out and "x/tokens.tsv: only in" in out

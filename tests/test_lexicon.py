@@ -7,6 +7,7 @@ from motiontok.lexicon import (
     TokenStream,
     assign,
     build_lexicon,
+    corpus_features,
     kmeans,
     load_lexicon,
     save_lexicon,
@@ -14,7 +15,8 @@ from motiontok.lexicon import (
     tokenize_corpus,
     write_token_streams,
 )
-from motiontok.tan import TanConfig, init_weights
+from motiontok import lexicon as lexicon_module
+from motiontok.tan import TanConfig, embed_sequence, init_weights
 from testkit import reference_kmeans, reference_sq_dists
 
 TINY = TanConfig(hidden_dim=16, encoder_layers=1, attention_heads=2,
@@ -294,6 +296,39 @@ class TestTokenizeCorpus:
         assert lex_hidden.dim == TINY.hidden_dim
         streams, _ = tokenize_corpus(corpus, weights, lex_hidden)
         assert streams[0].frames == corpus.sequences[0].frames
+
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_one_embedding_loop_per_corpus(self, small_setup, monkeypatch, threads):
+        # corpus_features is the one loop that embeds a corpus, and it looks
+        # up lexicon.embed_sequence per sequence: the benchmark's tracer wraps
+        # that name to count the frames the lexicon stages embed
+        corpus, weights, lexicon = small_setup
+        index = {id(seq): i for i, seq in enumerate(corpus.sequences)}
+        calls = []
+
+        def recorded(seq, *args, **kwargs):
+            calls.append(index[id(seq)])
+            return embed_sequence(seq, *args, **kwargs)
+
+        monkeypatch.setattr(lexicon_module, "embed_sequence", recorded)
+        features = corpus_features(corpus, weights, window=4, threads=threads)
+        streams, labels = tokenize_corpus(corpus, weights, lexicon, threads)
+        built = build_lexicon(corpus, weights, k=4, seed=5, threads=threads)
+        monkeypatch.undo()
+        n = len(corpus.sequences)
+        for run in range(3):
+            # pool workers may start out of order; the results keep corpus order
+            ran = calls[run * n:(run + 1) * n]
+            assert (ran if threads == 1 else sorted(ran)) == list(range(n))
+        assert len(calls) == 3 * n
+        for got, seq in zip(features, corpus.sequences):
+            assert got.tobytes() == embed_sequence(seq, weights, window=4).tobytes()
+        ref_streams, ref_labels = tokenize_corpus(corpus, weights, lexicon)
+        assert streams == ref_streams
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(labels, ref_labels))
+        assert built.centroids.tobytes() == lexicon.centroids.tobytes()
+        assert built.metadata == lexicon.metadata
 
 
 class TestLexiconIO:

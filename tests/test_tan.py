@@ -33,7 +33,7 @@ def assert_bound(w):
     """Every tensor's values and gradient are views of the flat buffers
     w.values and w.grads at the tensor's offset, in tensor order."""
     lo = 0
-    for t in w.parameters():
+    for t in w.tensors.values():
         for view, flat in ((t.values, w.values), (t.grad, w.grads)):
             assert np.shares_memory(view, flat) and view.flags.c_contiguous
             assert view.ctypes.data == flat.ctypes.data + lo * flat.itemsize
@@ -234,7 +234,7 @@ class TestCheckpoints:
         back = load_checkpoint(save_checkpoint(w, tmp_path / "w.tan"))
         assert_bound(back)
         assert back.values.tobytes() == w.values.tobytes()
-        w.zero_grad()
+        w.grads.fill(0.0)
         assert_bound(w)
 
     def test_loaded_weights_writable_and_train_like_in_memory(self, tmp_path):

@@ -427,9 +427,9 @@ class TestBackwardMemory:
         interior = [n for n in nodes if n.parents]
         assert len(interior) > 100
         assert all(n.grad is None and n._backward is None for n in interior)
-        for p in weights.parameters():
+        for p in weights.tensors.values():
             assert p.grad is not None and p.grad.shape == p.shape
-        assert any(np.abs(p.grad).max() > 0 for p in weights.parameters())
+        assert any(np.abs(p.grad).max() > 0 for p in weights.tensors.values())
 
     # sha256 prefix of the parameter gradients of _step_loss, per loss kind
     STEP_GRADS = {"tan": "23e650c9f652f4fa", "tcn": "67845b7a758d612b",
@@ -513,7 +513,7 @@ class TestBackwardMemory:
         def step():
             views = [[ad.slice_tensor(project(encode(x[None], weights), weights), (0,))
                       for x in clips] for _ in range(2)]
-            weights.zero_grad()
+            weights.grads.fill(0.0)
             ad.backward(frame_nt_xent(views[0], views[1], corr))
 
         faults = []
@@ -551,7 +551,7 @@ class TestOptimizer:
         float64 tensors on the upcast gradients."""
         w, ref = init_weights(config, 3, 5), init_weights(config, 3, 5)
         compute = w if dtype is np.float64 else _bind(config, 3, 5, w.values.astype(dtype))
-        starts = np.cumsum([0] + [t.values.size for t in w.parameters()])
+        starts = np.cumsum([0] + [t.values.size for t in w.tensors.values()])
         # a tensor spans several blocks, a block ends inside a tensor, the last block is short
         assert max(np.diff(starts)) > block and w.values.size % block
         assert set(range(block, w.values.size, block)) - set(starts.tolist())
@@ -563,12 +563,12 @@ class TestOptimizer:
             # backward accumulates: compute relies on the pass to have zeroed
             # its gradients, the reference zeroes them first as train_tan did
             compute.grads += grads
-            ref.zero_grad()
+            ref.grads.fill(0.0)
             ref.grads += grads
             norm, scale = clip_gradients(compute, GRAD_CLIP_NORM)
             # the block sums against the tensor-by-tensor float64 sum of
             # squares: a float32 sum would be off by ~1e-8 relative
-            ref_norm = np.sqrt(sum(float((p.grad ** 2).sum()) for p in ref.parameters()))
+            ref_norm = np.sqrt(sum(float((p.grad ** 2).sum()) for p in ref.tensors.values()))
             assert norm == pytest.approx(ref_norm, rel=1e-13)
             assert scale == (GRAD_CLIP_NORM / norm if norm > GRAD_CLIP_NORM else 1.0)
             adam_step(w, compute, state, lr, WEIGHT_DECAY, scale)
@@ -591,7 +591,7 @@ class TestOptimizer:
             ad.backward(weighted_sum(project(encode(x, w), w), np.ones((2, 6, 8))))
             assert w.grads.any()
             adam_step(w, w, state, 1e-3, 1e-6, clip_gradients(w, 0.5)[1])
-            assert all(not t.grad.any() for t in w.parameters())
+            assert all(not t.grad.any() for t in w.tensors.values())
             assert not w.grads.any()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -103,7 +103,7 @@ def reference_step_gradients(weights, pairs, loss_kind: str, train_config,
     sampling, so it must be in the state `train_tan`'s step generator has
     after the views are drawn."""
     from motiontok import train
-    weights.zero_grad()
+    weights.grads.fill(0.0)
     va = [ad.slice_tensor(project(encode(p.view_a.flat(), weights), weights), (0,)) for p in pairs]
     vb = [ad.slice_tensor(project(encode(p.view_b.flat(), weights), weights), (0,)) for p in pairs]
     if loss_kind == "tan":
@@ -127,7 +127,7 @@ def reference_optimizer_step(weights, state: dict, lr: float, weight_decay: floa
     gradients stay scaled."""
     from motiontok import train
     if grad_scale != 1.0:
-        for p in weights.parameters():
+        for p in weights.tensors.values():
             p.grad[...] *= grad_scale
     state["t"] += 1
     t = state["t"]
