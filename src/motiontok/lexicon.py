@@ -64,14 +64,25 @@ class TokenStream:
         return [acton for _, _, acton in self.segments]
 
 
-def _gram(points: np.ndarray, p2: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    """Squared distances in Gram form, max(|p|^2 + |c|^2 - 2 p.c, 0), (M, K).
+def _gram(points: np.ndarray, p2: np.ndarray, centroids: np.ndarray,
+          out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances in Gram form, |p|^2 + |c|^2 - 2 p.c, (M, K), unclamped.
 
-    p2 holds the points' squared norms. It is one matrix product, but its
-    rounding residue (of order eps * (|p|^2 + |c|^2)) breaks exact ties and
-    zero distances: the Lloyd loop uses it as is, `nearest` only to screen."""
-    c2 = (centroids * centroids).sum(axis=1)[None, :]
-    return np.maximum(p2[:, None] + c2 - 2.0 * (points @ centroids.T), 0.0)
+    p2 holds the points' squared norms. It is one matrix product and the
+    sum and difference passes, written into `out` and `work` when given
+    (both (M, K), reused across calls); 2 p.c comes as p.(2c), the same
+    bits, since scaling by 2 is exact. Its rounding residue (of order
+    eps * (|p|^2 + |c|^2)) breaks exact ties and zero distances and can go
+    below zero: the Lloyd loop clamps it at zero, `nearest` only screens
+    with it."""
+    out = np.matmul(points, (2.0 * centroids).T, out=out)
+    if work is None:
+        work = np.empty_like(out)
+    # |p|^2 copied across each row, then |c|^2 added along it: faster than
+    # one broadcast sum, whose inner loop runs over K with a fixed |p|^2
+    np.copyto(work, p2[:, None])
+    np.add(work, (centroids * centroids).sum(axis=1), out=work)
+    return np.subtract(work, out, out=out)
 
 
 def nearest(points: np.ndarray, p2: np.ndarray,
@@ -101,35 +112,34 @@ def nearest(points: np.ndarray, p2: np.ndarray,
     return cols[first], exact[first]
 
 
-def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iters: int = 300,
-           tol: float = 1e-6) -> Lexicon:
-    """Lloyd's algorithm with k-means++ seeding.
-
-    Stops when the largest centroid shift drops below tol. Empty clusters are
-    re-seeded to the points currently farthest from their assigned centroid.
-    The Lloyd loop assigns by the Gram form; the reported inertia comes from
-    the exact form, so k = M gives zero inertia. Each centroid is its
-    members' sum, accumulated in point order, over their count: for D >= 2
-    that is bit for bit `points[members].mean(axis=0)`; for D = 1 numpy's
-    mean sums pairwise, and the two can differ in the last bits.
-    """
-    for name, value, least in (("k", k, 1), ("seed", seed, 0), ("max_iters", max_iters, 1)):
+def _checked_points(points: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """The (M, D) float64 points k-means of k clusters can run on, after
+    checking k and seed; ValueError otherwise."""
+    for name, value, least in (("k", k, 1), ("seed", seed, 0)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-    if (isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating))
-            or not 0 <= tol < np.inf):
-        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] < 1:
         raise ValueError(f"points must be an (M, D) array with D >= 1, got shape {points.shape}")
     if not np.isfinite(points).all():
         raise ValueError("points must be finite")
-    m, d = points.shape
-    if m < k:
-        raise ValueError(f"need at least k={k} points, got {m}")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 41]))
+    if points.shape[0] < k:
+        raise ValueError(f"need at least k={k} points, got {points.shape[0]}")
+    return points
 
-    centroids = np.empty((k, d))
+
+def kmeanspp(points: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
+    """k-means++ seeds (Arthur & Vassilvitskii 2007), (k, D): the first is a
+    uniform draw, each next one a draw weighted by the squared distance to
+    the nearest seed so far, from a generator seeded by (seed, 41).
+
+    Seed c depends on seeds 0..c-1 alone, so the seeds for k are the first
+    k rows of the seeds for any larger k: a sweep over several k seeds once,
+    at the largest, and hands each kmeans call its prefix."""
+    points = _checked_points(points, k, seed)
+    m = points.shape[0]
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 41]))
+    centroids = np.empty((k, points.shape[1]))
     centroids[0] = points[rng.integers(m)]
     closest = np.full(m, np.inf)
     for c in range(1, k):
@@ -141,12 +151,53 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iters: int = 300,
         else:
             centroids[c] = points[np.searchsorted(
                 np.cumsum(closest / total), rng.random())]
+    return centroids
+
+
+def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iters: int = 300,
+           tol: float = 1e-6, seeds: np.ndarray | None = None) -> Lexicon:
+    """Lloyd's algorithm from k-means++ seeds.
+
+    `seeds`, when given, must be `kmeanspp(points, k, seed)`, or the first k
+    rows of it for a larger k; the result is then the same, bit for bit, as
+    without it. Stops when the largest centroid shift drops below tol. Empty
+    clusters are re-seeded to the points currently farthest from their
+    assigned centroid. The Lloyd loop assigns by the Gram form clamped at
+    zero (ties, and every distance rounded to zero or below, to the lowest
+    id); the reported inertia comes from the exact form, so k = M gives zero
+    inertia. Each centroid is its members' sum, accumulated in point order,
+    over their count: for D >= 2 that is bit for bit
+    `points[members].mean(axis=0)`; for D = 1 numpy's mean sums pairwise, and
+    the two can differ in the last bits.
+    """
+    if isinstance(max_iters, bool) or not isinstance(max_iters, (int, np.integer)) \
+            or max_iters < 1:
+        raise ValueError(f"max_iters must be an integer >= 1, got {max_iters!r}")
+    if (isinstance(tol, bool) or not isinstance(tol, (int, float, np.integer, np.floating))
+            or not 0 <= tol < np.inf):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
+    if seeds is None:
+        seeds = kmeanspp(points, k, seed)
+    points = _checked_points(points, k, seed)
+    m, d = points.shape
+    centroids = np.asarray(seeds, dtype=np.float64)
+    if centroids.shape != (k, d):
+        raise ValueError(f"seeds must be ({k}, {d}), got {centroids.shape}")
 
     p2 = (points * points).sum(axis=1)
     column = np.arange(d)
+    rows = np.arange(m)
+    gram, work = np.empty((m, k)), np.empty((m, k))
     for _ in range(max_iters):
-        dists = _gram(points, p2, centroids)
-        labels = dists.argmin(axis=1)
+        _gram(points, p2, centroids, out=gram, work=work)
+        labels = gram.argmin(axis=1)
+        point_err = gram[rows, labels]
+        # clamped at zero, a row whose minimum is <= 0 has its first entry
+        # <= 0 as its lowest id at distance 0
+        low = np.flatnonzero(point_err <= 0.0)
+        if low.size:
+            labels[low] = (gram[low] <= 0.0).argmax(axis=1)
+            point_err[low] = 0.0
         counts = np.bincount(labels, minlength=k)
         sums = np.bincount((labels[:, None] * d + column).ravel(), weights=points.ravel(),
                            minlength=k * d).reshape(k, d)
@@ -156,13 +207,13 @@ def kmeans(points: np.ndarray, k: int, seed: int = 0, max_iters: int = 300,
         empties = np.flatnonzero(~filled)
         if empties.size:
             # the farthest points, ties to the lowest index
-            point_err = dists[np.arange(m), labels]
             far = np.argsort(-point_err, kind="stable")[:empties.size]
             new_centroids[empties] = points[far]
         shift = np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max()
         centroids = new_centroids
         if shift < tol:
             break
+    del gram, work  # freed before nearest allocates its own (M, K) screen
     _, dist = nearest(points, p2, centroids)
     return Lexicon(centroids=centroids,
                    metadata={"seed": seed, "inertia": float(dist.sum()), "points": m})
@@ -251,10 +302,12 @@ def build_lexicon(corpus: LabeledCorpus, weights: TanWeights, k: int, seed: int 
 
 def cluster_features(points: np.ndarray, k: int, seed: int = 0, space: str = "projection",
                      checkpoint_digest: str | None = None, max_iters: int = 300,
-                     tol: float = 1e-6, window: int | None = None) -> Lexicon:
+                     tol: float = 1e-6, window: int | None = None,
+                     seeds: np.ndarray | None = None) -> Lexicon:
     """K-means lexicon of frame features already embedded in `space` with
-    context `window`; both are recorded in the metadata, as build_lexicon does."""
-    lex = kmeans(points, k, seed=seed, max_iters=max_iters, tol=tol)
+    context `window`; both are recorded in the metadata, as build_lexicon does.
+    `seeds` goes to kmeans: k-means++ seeds computed once for several K."""
+    lex = kmeans(points, k, seed=seed, max_iters=max_iters, tol=tol, seeds=seeds)
     lex.metadata.update({
         "feature_space": space,
         "checkpoint_digest": checkpoint_digest,

@@ -479,6 +479,43 @@ class TestCommands:
             expected.append(f"{k}\t{report.nmi:.6g}\t{report.f2:.6g}")
         assert rows == expected
 
+    def test_sweep_neither_hashes_checkpoint_nor_reorders_seeds(self, pipeline, tmp_path,
+                                                                 monkeypatch):
+        # an unsorted grid: each K clusters from its prefix of the seeds drawn
+        # once for the largest K, and every row is still what build-lexicon at
+        # that K followed by eval reports; the sweep never reads the digest
+        _, corpus_dir, ckpt, _, _ = pipeline
+        grid = [5, 2, 3]
+        overrides = dict(TINY_OVERRIDES, metrics=dict(TINY_OVERRIDES["metrics"], sweep_k=grid))
+        expected = []
+        for k in grid:
+            at_k = make_config(profile="desk", seed=1,
+                               overrides=dict(overrides, lexicon={"k": k}))
+            lex = cmd_build_lexicon(at_k, corpus_dir, ckpt, tmp_path / f"lex{k}.bin")
+            report = cmd_eval(at_k, corpus_dir, ckpt, lex, tmp_path / f"eval{k}")
+            expected.append(f"{k}\t{report.nmi:.6g}\t{report.f2:.6g}")
+
+        def refuse(path):
+            raise AssertionError("sweep-k hashed the checkpoint")
+
+        monkeypatch.setattr(cli_module, "checkpoint_digest", refuse)
+        config = make_config(profile="desk", seed=1, overrides=overrides)
+        out = cmd_sweep_k(config, corpus_dir, ckpt, tmp_path / "grid.tsv")
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        assert rows == expected
+
+    def test_sweep_k_above_point_count_rejected(self, pipeline, tmp_path):
+        # the first K of the grid that exceeds the train split's frame count
+        # fails, with the message kmeans gives it
+        config, corpus_dir, ckpt, _, _ = pipeline
+        train, _ = split_corpus(load_corpus(corpus_dir), config.metrics.eval_fraction)
+        m = sum(s.frames for s in train.sequences)
+        grid = [2, m + 5, m + 9, m]
+        config = make_config(profile="desk", seed=1, overrides=dict(
+            TINY_OVERRIDES, metrics=dict(TINY_OVERRIDES["metrics"], sweep_k=grid)))
+        with pytest.raises(ValueError, match=f"need at least k={m + 5} points, got {m}$"):
+            cmd_sweep_k(config, corpus_dir, ckpt, tmp_path / "grid.tsv")
+
     def test_sweep_single_token_eval_writes_nan(self, pipeline, tmp_path):
         _, corpus_dir, ckpt, _, _ = pipeline
         corpus = load_corpus(corpus_dir)

@@ -9,6 +9,7 @@ from motiontok.lexicon import (
     build_lexicon,
     corpus_features,
     kmeans,
+    kmeanspp,
     load_lexicon,
     save_lexicon,
     segment,
@@ -96,6 +97,55 @@ class TestKmeans:
                 centroids, metadata = reference_kmeans(pts, k, seed=seed, max_iters=max_iters)
                 assert lex.centroids.tobytes() == centroids.tobytes(), (k, max_iters)
                 assert lex.metadata == metadata, (k, max_iters)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("case", ["blobs", "duplicates"])
+    def test_seed_prefix_matches_own_seeding(self, seed, case):
+        # a K grid seeds once, at its largest K; each K's prefix of those
+        # seeds gives the lexicon that K seeds itself into, byte for byte
+        rng = np.random.default_rng(seed)
+        if case == "blobs":
+            pts = rng.normal(size=(5, 6))[rng.integers(0, 5, 90)] + 0.4 * rng.normal(size=(90, 6))
+        else:
+            pts = rng.normal(size=(4, 3))[rng.integers(0, 4, 40)]
+        grid = (9, 1, 2, 4, 5, 7)
+        seeds = kmeanspp(pts, max(grid), seed)
+        if case == "duplicates":
+            # past 4 distinct seeds every distance is 0: the uniform draw
+            assert len(np.unique(seeds, axis=0)) == 4
+        for k in grid:
+            assert kmeanspp(pts, k, seed).tobytes() == seeds[:k].tobytes(), k
+            for max_iters in (1, 3, 300):
+                own = kmeans(pts, k, seed=seed, max_iters=max_iters)
+                given = kmeans(pts, k, seed=seed, max_iters=max_iters, seeds=seeds[:k])
+                assert given.centroids.tobytes() == own.centroids.tobytes(), (k, max_iters)
+                assert given.metadata == own.metadata, (k, max_iters)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_rows_at_or_below_zero_take_their_first_such_centroid(self, seed):
+        # tight groups far from the origin: two seeds in one group are 1e-9
+        # apart, below the Gram form's rounding (about 1e-10 here), so a row
+        # holds several entries <= 0 and its unclamped minimum is not the
+        # first of them; clamped at 0, that first one wins
+        rng = np.random.default_rng(seed)
+        base = 1e3 * rng.normal(size=(3, 4))
+        pts = base[rng.integers(0, 3, 60)] + 1e-9 * rng.normal(size=(60, 4))
+        k = 8
+        gram = lexicon_module._gram(pts, (pts * pts).sum(axis=1), kmeanspp(pts, k, seed))
+        clamped = np.maximum(gram, 0.0).argmin(axis=1)
+        assert ((gram <= 0.0).sum(axis=1) >= 2).any()
+        assert (clamped != gram.argmin(axis=1)).any()
+        for max_iters in range(1, 6):
+            lex = kmeans(pts, k, seed=seed, max_iters=max_iters)
+            centroids, metadata = reference_kmeans(pts, k, seed=seed, max_iters=max_iters)
+            assert lex.centroids.tobytes() == centroids.tobytes(), max_iters
+            assert lex.metadata == metadata, max_iters
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 2), (3,)])
+    def test_seeds_must_be_k_by_dim(self, shape):
+        pts = np.random.default_rng(0).normal(size=(10, 3))
+        with pytest.raises(ValueError, match=r"seeds must be \(3, 3\)"):
+            kmeans(pts, 3, seeds=np.zeros(shape))
 
     def test_one_dimension_matches_reference_to_rounding(self):
         # numpy's mean sums a single column pairwise, kmeans in point order

@@ -471,7 +471,13 @@ class TestBackwardMemory:
                 for cell in n._backward.__closure__ or ()]
         assert any(type(c) is ad.Node for c in kept)
         assert not any(isinstance(c, Tensor) for c in kept)
-        ad.backward(loss)
+
+    @pytest.mark.parametrize("loss_kind", ["tan", "tcn", "tcc"])
+    def test_step_gradients_pinned(self, loss_kind):
+        # bit pin: tied to the BLAS kernel, so kept apart from the structure
+        # checks above, which hold on any kernel
+        weights, z = self._step_encode()
+        ad.backward(self._step_loss(loss_kind, weights, z))
         digest = hashlib.sha256(weights.grads.tobytes()).hexdigest()[:16]
         assert digest == self.STEP_GRADS[loss_kind]
 
@@ -524,8 +530,24 @@ class TestBackwardMemory:
         assert faults[-1] < 200, faults
 
     def test_malloc_environment_settings_win(self, monkeypatch):
-        monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "131072")
-        assert ad._keep_heap_mapped() is False
+        set_params = []
+
+        def mallopt(param, value):
+            set_params.append(param)
+            return 1
+
+        monkeypatch.setattr(ad, "_libc_function", lambda name, *argtypes: mallopt)
+        for env, expected, kept in ((None, [-8, -1, -3], True),
+                                    ("MALLOC_ARENA_MAX", [-1, -3], True),
+                                    ("MALLOC_TRIM_THRESHOLD_", [-8], False),
+                                    ("MALLOC_MMAP_THRESHOLD_", [-8], False)):
+            for var in ("MALLOC_ARENA_MAX", "MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_"):
+                monkeypatch.delenv(var, raising=False)
+            if env is not None:
+                monkeypatch.setenv(env, "2")
+            set_params.clear()
+            assert ad._keep_heap_mapped() is kept, env
+            assert set_params == expected, env
 
 
 class TestOptimizer:
