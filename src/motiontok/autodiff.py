@@ -40,9 +40,9 @@ the optimizer reads. An interior node gets its gradient buffer on the first
 accumulation into it, and `backward` drops that buffer and the node's
 closure, with the arrays it keeps, as soon as the node has been propagated.
 Loading this module fixes glibc malloc's thresholds (`_keep_heap_mapped`), so
-that the buffers one training step frees are reused by the next step instead
-of going back to the system and faulting in again; `release_free_heap` hands
-them back when training ends.
+that the buffers one training step frees are reused by the next step, and by
+the stages after training, instead of going back to the system and faulting
+in again.
 """
 from __future__ import annotations
 
@@ -82,9 +82,9 @@ def _keep_heap_mapped() -> bool:
     training runs (6 steps each) that was about 2,000 minor faults per step
     with glibc's adaptive thresholds, 10,700 with MALLOC_TRIM_THRESHOLD_=131072
     and 330 with these fixed ones, which run desk training at 32 steps/s
-    against 26 and 12. With fixed thresholds the heap keeps its pages and a
-    repeated step faults none in; `release_free_heap` hands them back once a
-    training run ends. Blocks above 32 MB are still mapped
+    against 26 and 12. With fixed thresholds the heap keeps its pages, so a
+    repeated step faults none in, and the lexicon build and tokenization
+    after training reuse them too. Blocks above 32 MB are still mapped
     and unmapped one by one. Left alone when the MALLOC_TRIM_THRESHOLD_ or
     MALLOC_MMAP_THRESHOLD_ environment variable sets them, and where the C
     library has no mallopt.
@@ -93,7 +93,7 @@ def _keep_heap_mapped() -> bool:
     A `--threads` worker would otherwise get an arena of its own, which
     keeps the embedding buffers it frees: on the desk CLI corpus (60
     sequences) with two workers, one arena lowered the peak of
-    `build-lexicon` from 72 to 64 MB and of `sweep-k` from 107 to 97 MB,
+    `build-lexicon` from 72 to 64 MB and of `sweep-k` from 114 to 96 MB,
     with the same outputs.
     """
     mallopt = _libc_function("mallopt", ctypes.c_int, ctypes.c_int)
@@ -107,15 +107,6 @@ def _keep_heap_mapped() -> bool:
                 and mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD))
 
 
-def release_free_heap() -> None:
-    """Return the heap's free pages to the system (glibc malloc_trim), so the
-    memory a finished training run held does not stay resident beside what
-    comes after it. A no-op where the C library has no malloc_trim."""
-    if _MALLOC_TRIM is not None:
-        _MALLOC_TRIM(0)
-
-
-_MALLOC_TRIM = _libc_function("malloc_trim", ctypes.c_size_t)
 _keep_heap_mapped()
 
 

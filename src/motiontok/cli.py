@@ -252,18 +252,18 @@ def _scored_split(corpus: LabeledCorpus, eval_fraction: float, command: str,
 
 
 def alignment_tau(corpus: LabeledCorpus, ranges: AugmentRanges, pairs: int, seed: int,
-                  embed_fn, crop_len: int | None = None) -> float:
+                  embed_fn, crop_len: int) -> float:
     """Mean Kendall's Tau over speed-warped view pairs of corpus sequences.
 
     crop_len restricts each pair to a window of that many source frames (the
     encoder's training length, so retrieval runs in the regime the embeddings
-    were shaped for); None warps whole sequences.
+    were shaped for).
     """
     taus = []
     for idx in range(pairs):
         rng = np.random.default_rng(np.random.SeedSequence([seed, 53, idx]))
         seq = corpus.sequences[idx % len(corpus.sequences)]
-        if crop_len is not None and seq.frames > crop_len:
+        if seq.frames > crop_len:
             start = int(rng.integers(0, seq.frames - crop_len + 1))
             seq = SkeletonSequence(data=seq.data[start:start + crop_len], fps=seq.fps)
         vp = make_view_pair(seq, rng, ranges)

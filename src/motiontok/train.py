@@ -7,7 +7,6 @@ or only frames from other clips.
 """
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -305,24 +304,6 @@ def _crop(seq: SkeletonSequence, frames: int, rng: np.random.Generator) -> Skele
     return SkeletonSequence(data=seq.data[start:start + frames], fps=seq.fps)
 
 
-def _training_run(fn):
-    """fn, with the free heap returned to the system when it ends.
-
-    The heap keeps the pages steps free for the next step
-    (`ad._keep_heap_mapped`); once the run is over they go back, so they do
-    not add to the peak of later stages.
-    """
-    @functools.wraps(fn)
-    def run(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            ad.release_free_heap()
-
-    return run
-
-
-@_training_run
 def train_tan(corpus: LabeledCorpus, tan_config: TanConfig, train_config: TrainConfig,
               *, loss_kind: str = "tan", ranges: AugmentRanges | None = None,
               ) -> tuple[TanWeights, list[EpochStats]]:
